@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,24 @@ def _config_hash(config: dict) -> str:
     ).hexdigest()
 
 
+def _blas_versions() -> dict:
+    """The BLAS build numpy links and the thread settings this process sees.
+
+    Float sums in the BLAS kernels follow the build and the thread count, so
+    outputs repeat bitwise only when both match.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.25 has no dict mode
+        blas = {}
+    return {
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        "blas_threads": {
+            var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        },
+    }
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, seed: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -141,6 +160,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int) -> None
             "driftcast": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            **_blas_versions(),
         },
     }
     (out_dir / "run_manifest.json").write_text(
@@ -227,6 +247,11 @@ def _cmd_train_offline(args, config) -> int:
 def _cmd_run_online(args, config) -> int:
     dataset = load_dataset(args.data)
     state, model_cfg, train_cfg = load_checkpoint(args.ckpt)
+    if args.config is not None and _horizon_from(config) != train_cfg.horizon:
+        raise ConfigError(
+            f"config horizon {config['horizon']} disagrees with the checkpoint's "
+            f"{asdict(train_cfg.horizon)}"
+        )
     if args.scheme is not None:
         train_cfg = replace(train_cfg, scheme=_validate_scheme(args.scheme))
     if state.current_day + args.days > dataset.days:
@@ -248,6 +273,7 @@ def _cmd_run_online(args, config) -> int:
     )
     save_checkpoint(state, out / "state.bin", model_cfg, train_cfg)
     merged = dict(config)
+    merged["horizon"] = asdict(train_cfg.horizon)
     merged["train"] = train_cfg.to_dict()
     write_manifest(out, "run-online", merged, train_cfg.seed)
     print(f"ran {args.days} online days with scheme {train_cfg.scheme}; "
@@ -298,11 +324,20 @@ def _cmd_segment(args, config) -> int:
 
 def _cmd_evaluate(args, config) -> int:
     dataset = load_dataset(args.data)
-    horizon = _horizon_from(config)
     try:
-        log = eval_mod.read_prediction_csv(args.pred, dataset)
+        log, offsets = eval_mod.read_predictions(args.pred, dataset)
     except (ValueError, KeyError, OSError) as err:
         raise ConfigError(f"cannot read predictions: {err}") from err
+    if len(log) == 0:
+        raise ConfigError("no evaluable prediction windows found")
+    # The predictions' own offsets give the horizon they were made with.
+    configured = _horizon_from(config)
+    horizon = replace(configured, backward=-offsets.start, forward=offsets.stop)
+    if args.config is not None and horizon != configured:
+        raise ConfigError(
+            f"config horizon backward/forward {configured.backward}/{configured.forward} "
+            f"disagrees with the predictions' {horizon.backward}/{horizon.forward}"
+        )
     preds, truths = eval_mod.windows_from_log(log, dataset, horizon)
     if len(preds) == 0:
         raise ConfigError("no evaluable prediction windows found")

@@ -86,8 +86,15 @@ def windows_from_log(
     return np.array(preds), np.array(truths)
 
 
-def read_prediction_csv(path: str | Path, dataset: Dataset) -> trainer_mod.PredictionLog:
-    """Rebuild a PredictionLog (indexed against ``dataset``) from the CSV."""
+def read_predictions(
+    path: str | Path, dataset: Dataset
+) -> tuple[trainer_mod.PredictionLog, range]:
+    """Rebuild a PredictionLog from the CSV, with the offsets its rows cover.
+
+    Every (day, entity) must carry the same contiguous offsets; they are the
+    horizon the predictions were made with: backward = -offsets.start and
+    forward = offsets.stop.  An empty file gives range(0).
+    """
     rows: dict[tuple[int, str], dict[int, float]] = {}
     order: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -101,14 +108,27 @@ def read_prediction_csv(path: str | Path, dataset: Dataset) -> trainer_mod.Predi
                 rows[key] = {}
                 order.append(key)
             rows[key][int(rec["offset"])] = float(rec["predicted"])
+    want = sorted(rows[order[0]]) if order else []
     log = trainer_mod.PredictionLog()
     for day, entity_id in order:
         by_offset = rows[(day, entity_id)]
-        offsets = sorted(by_offset)
+        if sorted(by_offset) != want:
+            raise ValueError(
+                f"{path}: day {day}, entity {entity_id} has offsets "
+                f"{sorted(by_offset)} where the first has {want}"
+            )
         log.days.append(day)
         log.entity_idx.append(dataset.entity_index(entity_id))
-        log.preds.append(np.array([by_offset[o] for o in offsets]))
-    return log
+        log.preds.append(np.array([by_offset[o] for o in want]))
+    offsets = range(want[0], want[-1] + 1) if want else range(0)
+    if want and (want != list(offsets) or not offsets.start <= 0 < offsets.stop):
+        raise ValueError(f"{path}: offsets {want} are not a window -backward..forward-1")
+    return log, offsets
+
+
+def read_prediction_csv(path: str | Path, dataset: Dataset) -> trainer_mod.PredictionLog:
+    """Rebuild a PredictionLog (indexed against ``dataset``) from the CSV."""
+    return read_predictions(path, dataset)[0]
 
 
 # --------------------------------------------------------------------------

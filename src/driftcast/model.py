@@ -88,12 +88,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class HiddenReps:
-    h_interaction: np.ndarray
-    h_temporal: np.ndarray
-
-
-@dataclass(frozen=True)
 class Prediction:
     """Model output for one example; decoder fields exist only for ``proposed``."""
 
@@ -185,48 +179,60 @@ def interaction_encode(I: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _tcn_forward(params, cfg: ModelConfig, X):
+    """Temporal encoder; the backward cache holds each block's input and ReLU outputs.
+
+    ReLU outputs are taken in place over the fresh conv and sum buffers, and
+    ``relu_backward`` is given them as its mask, since relu(a) > 0 exactly
+    where a > 0.
+    """
     out = X
     cache = []
     for blk in range(cfg.n_blocks):
         xin = out
         a1 = conv1d_causal(xin, params[f"tcn{blk}.conv1.K"], params[f"tcn{blk}.conv1.b"])
-        r1 = relu(a1)
+        r1 = relu(a1, out=a1)
         a2 = conv1d_causal(r1, params[f"tcn{blk}.conv2.K"], params[f"tcn{blk}.conv2.b"])
-        r2 = relu(a2)
+        r2 = relu(a2, out=a2)
         if blk == 0:
-            res = conv1d_causal(xin, params["tcn0.res.K"], params["tcn0.res.b"])
+            s = conv1d_causal(xin, params["tcn0.res.K"], params["tcn0.res.b"])
+            s += r2
         else:
-            res = xin
-        s = r2 + res
-        out = relu(s)
-        cache.append((xin, a1, r1, a2, s))
+            s = r2 + xin
+        out = relu(s, out=s)
+        cache.append((xin, r1, r2, out))
     h_t = global_avg_pool_time(out)
-    return h_t, (cache, out)
+    return h_t, cache
 
 
-def _tcn_backward(params, cfg: ModelConfig, tcn_cache, grad_ht):
-    cache, out = tcn_cache
+def _tcn_backward(params, cfg: ModelConfig, cache, grad_ht):
+    """Parameter gradients of the temporal encoder (the input gradient is not needed).
+
+    Gradient temporaries that are not read again are masked in place.
+    """
     grads = {}
-    g = global_avg_pool_time_backward(out, grad_ht)
+    g = global_avg_pool_time_backward(cache[-1][3], grad_ht)
     for blk in reversed(range(cfg.n_blocks)):
-        xin, a1, r1, a2, s = cache[blk]
-        gs = relu_backward(s, g)
-        ga2 = relu_backward(a2, gs)
+        xin, r1, r2, out = cache[blk]
+        gs = relu_backward(out, g, out=g)
+        ga2 = relu_backward(r2, gs)
         gr1, gk2, gb2 = conv1d_causal_backward(r1, params[f"tcn{blk}.conv2.K"], ga2)
-        ga1 = relu_backward(a1, gr1)
-        gx_main, gk1, gb1 = conv1d_causal_backward(xin, params[f"tcn{blk}.conv1.K"], ga1)
+        ga1 = relu_backward(r1, gr1, out=gr1)
+        g, gk1, gb1 = conv1d_causal_backward(
+            xin, params[f"tcn{blk}.conv1.K"], ga1, need_grad_x=blk > 0
+        )
         grads[f"tcn{blk}.conv1.K"] = gk1
         grads[f"tcn{blk}.conv1.b"] = gb1
         grads[f"tcn{blk}.conv2.K"] = gk2
         grads[f"tcn{blk}.conv2.b"] = gb2
         if blk == 0:
-            gx_res, gkr, gbr = conv1d_causal_backward(xin, params["tcn0.res.K"], gs)
+            _, gkr, gbr = conv1d_causal_backward(
+                xin, params["tcn0.res.K"], gs, need_grad_x=False
+            )
             grads["tcn0.res.K"] = gkr
             grads["tcn0.res.b"] = gbr
         else:
-            gx_res = gs
-        g = gx_main + gx_res
-    return grads, g
+            g += gs
+    return grads
 
 
 def _mlp2_forward(params, prefix, x, relu_out: bool):
@@ -312,8 +318,7 @@ def batch_backward(params, cfg: ModelConfig, cache, grad_m_hat, grad_shape_extra
         g_ht, gw, gb = dense_backward(h_t, params["head.W"], grad_m_hat)
         grads["head.W"] = gw
         grads["head.b"] = gb
-        tg, _ = _tcn_backward(params, cfg, cache["tcn"], g_ht)
-        grads.update(tg)
+        grads.update(_tcn_backward(params, cfg, cache["tcn"], g_ht))
         return grads
 
     u = cache["u"]
@@ -355,8 +360,7 @@ def batch_backward(params, cfg: ModelConfig, cache, grad_m_hat, grad_shape_extra
         g_hi = g_hi + g_hi_bank
         g_ht = g_ht + g_ht_mix
     grads["embed.C"] = cache["i_norm"].T @ g_hi
-    tcn_grads, _ = _tcn_backward(params, cfg, cache["tcn"], g_ht)
-    grads.update(tcn_grads)
+    grads.update(_tcn_backward(params, cfg, cache["tcn"], g_ht))
     return grads
 
 

@@ -4,10 +4,17 @@ Everything runs in float64 on plain numpy arrays.  Each operation has an
 explicit backward rule (the model graphs are fixed and small, so no tape is
 needed).  Layer inputs may carry arbitrary leading batch dimensions; the
 documented shapes are for the trailing axes.
+
+The causal conv is written as one 2-D BLAS GEMM per kernel tap on the
+(rows, channels) view of the whole batch, shifted in time afterwards, so no
+pass builds a (rows, c_in * width) patch matrix.  Float sums therefore follow
+the BLAS build and thread count; results repeat bitwise at a fixed pair.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,11 +22,6 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
 
 
 # --------------------------------------------------------------------------
@@ -46,13 +48,18 @@ def dense_backward(x, W, grad_y):
     return grad_x, grad_W, grad_b
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), written into ``out`` when given (``out=x`` works in place)."""
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(x, grad_y):
-    # Subgradient at exactly 0 is 0.
-    return grad_y * (x > 0)
+def relu_backward(x, grad_y, out: np.ndarray | None = None):
+    """grad_y where x > 0, else 0; x may be the input or the output of relu.
+
+    Subgradient at exactly 0 is 0.  Written into ``out`` when given
+    (``out=grad_y`` works in place).
+    """
+    return np.multiply(grad_y, x > 0, out=out)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -68,51 +75,118 @@ def softmax_backward(y, grad_y):
     return y * (grad_y - inner)
 
 
-def _conv_cols(x: np.ndarray, width: int) -> np.ndarray:
-    """Causal patch matrix: cols[..., t, i, dt] = x[..., t - width + 1 + dt, i]."""
-    pad = [(0, 0)] * x.ndim
-    pad[-2] = (width - 1, 0)
-    xp = np.pad(x, pad)
-    return np.lib.stride_tricks.sliding_window_view(xp, width, axis=-2)
+_workspace = threading.local()
+
+
+def _scratch(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) buffer reused across calls on the calling thread.
+
+    A fresh temporary of this size is page-faulted in on every call: at
+    B=128, T=48 and 16 channels that doubled a forward pass, 1.4 ms against
+    0.7 ms (one Haswell core, 1 BLAS thread).  The buffer never leaves the
+    kernel that asked for it, and it only grows.
+    """
+    size = rows * cols
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size)
+    return buf[:size].reshape(rows, cols)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A (..., time, channels) array as a C-contiguous (rows, channels) matrix."""
+    return np.ascontiguousarray(a).reshape(-1, a.shape[-1])
+
+
+def _add_shifted(acc: np.ndarray, part: np.ndarray, t: int, shift: int) -> None:
+    """acc[b, i] += part[b, i - shift] inside each length-t series, in place.
+
+    acc and part are (rows, c) matrices of whole series; rows whose source
+    i - shift lies outside the series are left alone.  One contiguous add
+    over all rows is about 3x faster than the same add on the 3-D view; the
+    |shift| rows per series that it carries across a series boundary are
+    put back from a copy taken before it.
+    """
+    acc3 = acc.reshape(-1, t, acc.shape[1])
+    edge = acc3[:, :shift] if shift > 0 else acc3[:, t + shift :]
+    saved = edge.copy()
+    if shift > 0:
+        acc[shift:] += part[:-shift]
+    else:
+        acc[:shift] += part[-shift:]
+    edge[...] = saved
 
 
 def conv1d_causal(x: np.ndarray, K: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Causal 1-D convolution.
 
-    x is (..., time, c_in), K is (c_out, c_in, width), b is (c_out,).  The
-    input is left-padded with width-1 zero rows, so output[t] depends only on
+    x is (..., time, c_in), K is (c_out, c_in, width), b is (c_out,).  Output
+    row t is b + sum over dt of K[:, :, dt] @ x[t - width + 1 + dt], with rows
+    before the series start taken as zero, so output[t] depends only on
     x[t-width+1 .. t] and the output length equals the input length.
+
+    Each tap is one 2-D GEMM over all rows of the contiguous (rows, c_in) view
+    of x; its product is added into the output shifted by width-1-dt rows
+    along the time axis, and the rows it would carry across a series boundary
+    are dropped.  The shift-0 tap writes the output directly.  Besides the
+    output, the pass writes only a reused (rows, c_out) scratch buffer; it
+    builds no patch matrix.
     """
     c_out, c_in, width = K.shape
     if x.shape[-1] != c_in or b.shape[0] != c_out:
         raise ValueError(
             f"conv1d shape mismatch: x {x.shape}, K {K.shape}, b {b.shape}"
         )
-    cols = _conv_cols(x, width)                      # (..., T, c_in, width)
-    kmat = K.transpose(1, 2, 0).reshape(c_in * width, c_out)
-    flat = cols.reshape(*cols.shape[:-2], c_in * width)
-    return flat @ kmat + b
+    t = x.shape[-2]
+    x2 = _rows(x)
+    taps = np.ascontiguousarray(K.transpose(2, 1, 0))    # (width, c_in, c_out)
+    y2 = x2 @ taps[width - 1]
+    y2 += b
+    scratch = _scratch(*y2.shape)
+    for shift in range(1, min(width, t)):
+        np.matmul(x2, taps[width - 1 - shift], out=scratch)
+        _add_shifted(y2, scratch, t, shift)
+    return y2.reshape(*x.shape[:-1], c_out)
 
 
-def conv1d_causal_backward(x, K, grad_y):
-    """Gradients of conv1d_causal w.r.t. (x, K, b)."""
+def conv1d_causal_backward(x, K, grad_y, need_grad_x: bool = True):
+    """Gradients of conv1d_causal w.r.t. (x, K, b).
+
+    The same shifted-tap design as the forward pass: grad_x is one GEMM per
+    tap against K[:, :, dt], added back shifted the other way through the
+    reused scratch buffer.  grad_K[:, :, dt] is one GEMM of the gradient rows
+    against the input rows shift = width-1-dt earlier, over the whole
+    flattened batch, minus the few products that pair the first ``shift``
+    rows of a series with the last rows of the series before it.  With
+    ``need_grad_x=False`` the grad_x GEMMs are skipped and None is returned
+    in its place.
+    """
     c_out, c_in, width = K.shape
     t = x.shape[-2]
-    cols = _conv_cols(x, width).reshape(-1, c_in * width)
-    gf = grad_y.reshape(-1, c_out)
-    kmat = K.transpose(1, 2, 0).reshape(c_in * width, c_out)
+    x2 = _rows(x)
+    g2 = _rows(grad_y)
+    n = len(x2)
+    grad_b = g2.T @ np.ones(n)           # a GEMV; g2.sum(axis=0) is ~10x slower
 
-    grad_b = gf.sum(axis=0)
-    grad_K = (cols.T @ gf).reshape(c_in, width, c_out).transpose(2, 0, 1)
+    grad_k = np.zeros((width, c_out, c_in))
+    x3 = x2.reshape(math.prod(x.shape[:-2]), t, c_in)
+    g3 = g2.reshape(*x3.shape[:2], c_out)
+    for shift in range(min(width, t)):
+        tap = grad_k[width - 1 - shift]
+        np.matmul(g2[shift:].T, x2[: n - shift], out=tap)
+        if shift and len(x3) > 1:
+            tap -= _rows(g3[1:, :shift]).T @ _rows(x3[:-1, t - shift :])
+    grad_k = np.ascontiguousarray(grad_k.transpose(1, 2, 0))
 
-    gcols = (gf @ kmat.T).reshape(*grad_y.shape[:-1], c_in, width)
-    pad_shape = list(x.shape)
-    pad_shape[-2] = t + width - 1
-    gxp = np.zeros(pad_shape)
-    for dt in range(width):
-        gxp[..., dt : dt + t, :] += gcols[..., dt]
-    grad_x = gxp[..., width - 1 :, :]
-    return grad_x, grad_K, grad_b
+    if not need_grad_x:
+        return None, grad_k, grad_b
+    taps = np.ascontiguousarray(K.transpose(2, 0, 1))    # (width, c_out, c_in)
+    gx2 = g2 @ taps[width - 1]
+    scratch = _scratch(*gx2.shape)
+    for shift in range(1, min(width, t)):
+        np.matmul(g2, taps[width - 1 - shift], out=scratch)
+        _add_shifted(gx2, scratch, t, -shift)
+    return gx2.reshape(x.shape), grad_k, grad_b
 
 
 def global_avg_pool_time(x: np.ndarray) -> np.ndarray:

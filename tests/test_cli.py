@@ -130,6 +130,81 @@ class TestPipeline:
                         "--entity", "zz", "--out", str(workspace / "c.csv")]) == 2
 
 
+class TestHorizonSourceOfTruth:
+    """A config whose horizon disagrees with the run it describes is an error."""
+
+    @pytest.fixture(scope="class")
+    def run_6_6(self, workspace):
+        data = str(workspace / "data")
+        config = str(workspace / "config.json")
+        ckpt = workspace / "model_horizon.bin"
+        assert run_cli(["train-offline", "--data", data, "--config", config,
+                        "--out", str(ckpt)]) == 0
+        out_dir = workspace / "run_horizon"
+        assert run_cli(["run-online", "--data", data, "--ckpt", str(ckpt),
+                        "--scheme", "uniform:uniform", "--days", "3",
+                        "--out", str(out_dir), "--config", config]) == 0
+        skewed = dict(TINY_CONFIG, horizon=dict(TINY_CONFIG["horizon"], backward=2, forward=10))
+        skewed_path = workspace / "config_2_10.json"
+        skewed_path.write_text(json.dumps(skewed))
+        return data, ckpt, out_dir, skewed_path
+
+    def test_evaluate_rejects_a_config_split_unlike_the_predictions(self, run_6_6, capsys):
+        data, _, out_dir, skewed = run_6_6
+        pred = str(out_dir / "predictions.csv")
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--pred", pred, "--data", data,
+                        "--config", str(skewed)]) == 2
+        assert "disagrees" in capsys.readouterr().err
+
+    def test_evaluate_without_config_uses_the_predictions_horizon(self, workspace, run_6_6,
+                                                                   capsys):
+        data, _, out_dir, _ = run_6_6
+        pred = str(out_dir / "predictions.csv")
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--pred", pred, "--data", data,
+                        "--config", str(workspace / "config.json")]) == 0
+        with_config = json.loads(capsys.readouterr().out)
+        assert run_cli(["evaluate", "--pred", pred, "--data", data]) == 0
+        assert json.loads(capsys.readouterr().out) == with_config
+
+    def test_ragged_offsets_are_rejected(self, run_6_6, tmp_path, capsys):
+        data, _, out_dir, _ = run_6_6
+        lines = (out_dir / "predictions.csv").read_text().splitlines()
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--pred", str(ragged), "--data", data]) == 2
+        assert "offsets" in capsys.readouterr().err
+
+    def test_run_online_rejects_a_config_horizon_unlike_the_checkpoint(self, run_6_6,
+                                                                       tmp_path):
+        data, ckpt, _, skewed = run_6_6
+        out_dir = tmp_path / "skewed_run"
+        assert run_cli(["run-online", "--data", data, "--ckpt", str(ckpt),
+                        "--days", "1", "--out", str(out_dir),
+                        "--config", str(skewed)]) == 2
+        assert not out_dir.exists()
+
+    def test_run_online_manifest_records_the_horizon_that_ran(self, run_6_6, tmp_path):
+        data, ckpt, out_dir, _ = run_6_6
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["config"]["horizon"] == TINY_CONFIG["horizon"]
+        assert manifest["config"]["train"]["horizon"] == TINY_CONFIG["horizon"]
+        # without a config the checkpoint's horizon runs and is recorded
+        bare = tmp_path / "bare_run"
+        assert run_cli(["run-online", "--data", data, "--ckpt", str(ckpt),
+                        "--days", "1", "--out", str(bare)]) == 0
+        manifest = json.loads((bare / "run_manifest.json").read_text())
+        assert manifest["config"]["horizon"] == TINY_CONFIG["horizon"]
+
+    def test_manifest_names_the_blas_build_and_threads(self, run_6_6):
+        _, _, out_dir, _ = run_6_6
+        versions = json.loads((out_dir / "run_manifest.json").read_text())["versions"]
+        assert set(versions["blas"]) == {"name", "version", "openblas configuration"}
+        assert set(versions["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+
 class TestPipelineConsistency:
     def test_evaluate_matches_benchmark_frozen_cell(self, workspace, tmp_path, capsys):
         # the frozen cell of a benchmark grid must equal `evaluate` run on the

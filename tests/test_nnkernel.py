@@ -16,6 +16,45 @@ def check_op_gradient(forward, backward, x, seed=0):
     return nn.grad_check(f, x)
 
 
+# --------------------------------------------------------------------------
+# Slow im2col reference for the causal conv: builds the (rows, c_in * width)
+# patch matrix and scatters its gradient back through a padded buffer.
+# --------------------------------------------------------------------------
+
+
+def _conv_cols(x, width):
+    """Causal patch matrix: cols[..., t, i, dt] = x[..., t - width + 1 + dt, i]."""
+    pad = [(0, 0)] * x.ndim
+    pad[-2] = (width - 1, 0)
+    xp = np.pad(x, pad)
+    return np.lib.stride_tricks.sliding_window_view(xp, width, axis=-2)
+
+
+def im2col_conv(x, K, b):
+    c_out, c_in, width = K.shape
+    cols = _conv_cols(x, width)
+    kmat = K.transpose(1, 2, 0).reshape(c_in * width, c_out)
+    flat = cols.reshape(*cols.shape[:-2], c_in * width)
+    return flat @ kmat + b
+
+
+def im2col_conv_backward(x, K, grad_y):
+    c_out, c_in, width = K.shape
+    t = x.shape[-2]
+    cols = _conv_cols(x, width).reshape(-1, c_in * width)
+    gf = grad_y.reshape(-1, c_out)
+    kmat = K.transpose(1, 2, 0).reshape(c_in * width, c_out)
+    grad_b = gf.sum(axis=0)
+    grad_K = (cols.T @ gf).reshape(c_in, width, c_out).transpose(2, 0, 1)
+    gcols = (gf @ kmat.T).reshape(*grad_y.shape[:-1], c_in, width)
+    pad_shape = list(x.shape)
+    pad_shape[-2] = t + width - 1
+    gxp = np.zeros(pad_shape)
+    for dt in range(width):
+        gxp[..., dt : dt + t, :] += gcols[..., dt]
+    return gxp[..., width - 1 :, :], grad_K, grad_b
+
+
 class TestDense:
     def test_identity(self):
         x = np.array([1.0, 2.0])
@@ -108,6 +147,59 @@ class TestConv1dCausal:
         )
         assert err_x < 1e-6 and err_k < 1e-6
 
+    @pytest.mark.parametrize(
+        "x_shape, k_shape",
+        [
+            ((4, 10, 3), (5, 3, 3)),      # batched, B >= 2
+            ((2, 3, 7, 3), (4, 3, 3)),    # two leading batch axes
+            ((3, 2, 3), (2, 3, 4)),       # T < width
+            ((3, 1, 2), (2, 2, 3)),       # a single time step
+            ((5, 6, 2), (3, 2, 1)),       # width == 1
+            ((9, 3), (2, 3, 4)),          # unbatched
+        ],
+    )
+    def test_against_im2col_oracle(self, x_shape, k_shape):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=x_shape)
+        K = rng.normal(size=k_shape)
+        b = rng.normal(size=k_shape[0])
+        y = nn.conv1d_causal(x, K, b)
+        np.testing.assert_allclose(y, im2col_conv(x, K, b), rtol=0, atol=1e-12)
+        gy = rng.normal(size=y.shape)
+        got = nn.conv1d_causal_backward(x, K, gy)
+        for g, ref in zip(got, im2col_conv_backward(x, K, gy)):
+            assert g.shape == ref.shape
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+        _, gk, gb = nn.conv1d_causal_backward(x, K, gy, need_grad_x=False)
+        np.testing.assert_array_equal(gk, got[1])
+        np.testing.assert_array_equal(gb, got[2])
+
+    def test_non_contiguous_inputs_match_oracle(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(6, 3, 11)).transpose(0, 2, 1)[:, ::2]   # (6, 6, 3)
+        K = rng.normal(size=(3, 4, 3)).transpose(1, 0, 2)            # (4, 3, 3)
+        b = rng.normal(size=4)
+        assert not x.flags.c_contiguous and not K.flags.c_contiguous
+        y = nn.conv1d_causal(x, K, b)
+        np.testing.assert_allclose(y, im2col_conv(x, K, b), rtol=0, atol=1e-12)
+        gy = rng.normal(size=(6, 8, 4))[:, 1:7]
+        got = nn.conv1d_causal_backward(x, K, gy)
+        for g, ref in zip(got, im2col_conv_backward(x, K, gy)):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12)
+
+    def test_batched_kernel_gradient(self):
+        # B = 3 crosses two series boundaries, which the grad_K correction handles
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(3, 5, 2))
+        K = rng.normal(size=(3, 2, 3))
+        b = rng.normal(size=3)
+        err_k = check_op_gradient(
+            lambda kk: nn.conv1d_causal(x, kk.reshape(K.shape), b),
+            lambda kk, gy: nn.conv1d_causal_backward(x, kk.reshape(K.shape), gy)[1].ravel(),
+            K.ravel(), 13,
+        )
+        assert err_k < 1e-6
+
 
 class TestRelu:
     def test_values(self):
@@ -117,6 +209,18 @@ class TestRelu:
     def test_subgradient_at_zero_is_zero(self):
         g = nn.relu_backward(np.array([0.0, 1.0, -1.0]), np.ones(3))
         np.testing.assert_array_equal(g, [0.0, 1.0, 0.0])
+
+    def test_in_place_and_output_mask(self):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=12)
+        a[3] = 0.0
+        ref = nn.relu(a)
+        gy = rng.normal(size=12)
+        expected = nn.relu_backward(a, gy)
+        r = nn.relu(a, out=a)
+        assert r is a
+        np.testing.assert_array_equal(r, ref)
+        np.testing.assert_array_equal(nn.relu_backward(r, gy), expected)
 
     def test_gradient_away_from_zero(self):
         rng = np.random.default_rng(4)
