@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import evaluation as eval_mod
 
-from .data import DatasetError, HorizonConfig, load_dataset
+from .data import DatasetError, HorizonConfig, label_cutoff, load_dataset
 from .model import ModelConfig
 from .profiles import fluss_probability, summed_arc_curve
 from .sampling import NONTEMPORAL_SCHEMES, TEMPORAL_SCHEMES, parse_scheme
@@ -39,9 +39,6 @@ from .trainer import (
     save_checkpoint,
     train_offline,
 )
-
-HOURS_PER_DAY = 24
-
 
 class UsageError(Exception):
     pass
@@ -247,10 +244,16 @@ def _cmd_train_offline(args, config) -> int:
 def _cmd_run_online(args, config) -> int:
     dataset = load_dataset(args.data)
     state, model_cfg, train_cfg = load_checkpoint(args.ckpt)
+    # The checkpoint's horizon and model are what runs; a given config must agree.
+    model = {k: model_cfg.to_dict()[k] for k in DEFAULT_CONFIG["model"]}
     if args.config is not None and _horizon_from(config) != train_cfg.horizon:
         raise ConfigError(
             f"config horizon {config['horizon']} disagrees with the checkpoint's "
             f"{asdict(train_cfg.horizon)}"
+        )
+    if args.config is not None and config["model"] != model:
+        raise ConfigError(
+            f"config model {config['model']} disagrees with the checkpoint's {model}"
         )
     if args.scheme is not None:
         train_cfg = replace(train_cfg, scheme=_validate_scheme(args.scheme))
@@ -264,16 +267,14 @@ def _cmd_run_online(args, config) -> int:
         online_step(state, dataset, model_cfg, train_cfg, index)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    labeled_end = max(
-        0, (state.current_day - train_cfg.label_delay_days) * HOURS_PER_DAY
-    )
     state.log.write_csv(
         out / "predictions.csv", dataset, train_cfg.horizon,
-        min(labeled_end, dataset.hours),
+        label_cutoff(state.current_day, train_cfg.horizon, dataset.hours),
     )
     save_checkpoint(state, out / "state.bin", model_cfg, train_cfg)
     merged = dict(config)
     merged["horizon"] = asdict(train_cfg.horizon)
+    merged["model"] = model
     merged["train"] = train_cfg.to_dict()
     write_manifest(out, "run-online", merged, train_cfg.seed)
     print(f"ran {args.days} online days with scheme {train_cfg.scheme}; "

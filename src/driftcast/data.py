@@ -5,7 +5,10 @@ series paired with an hourly target metric, and one snapshot per calendar day
 of trailing interaction counts against every other entity.  Training examples
 are fixed-geometry windows cut from these series: a look-back block of
 features, the interaction snapshot of the anchor day, and a target window
-that reaches both backward and forward from the anchor hour.
+that reaches both backward and forward from the anchor hour.  This module
+holds the geometry (``HorizonConfig``, ``anchor_bounds``, ``label_cutoff``);
+``trainer.build_candidates`` and ``trainer.DatasetIndex.gather`` cut the
+windows in batches.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -27,6 +30,19 @@ class DatasetError(Exception):
 
 class WindowRangeError(ValueError):
     """Raised when a window anchor violates one of its feasibility bounds."""
+
+
+class InvariantError(AssertionError):
+    """Raised when a value breaks an invariant its type guarantees.
+
+    An explicit raise, unlike ``assert``, still runs under ``python -O``.
+    """
+
+
+def require(ok, message: str) -> None:
+    """Raise ``InvariantError(message)`` unless ``ok``."""
+    if not ok:
+        raise InvariantError(message)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -119,54 +135,6 @@ class EntityRecord:
     def interaction_dim(self) -> int:
         return self.interactions.shape[1]
 
-    def interaction_for_hour(self, hour: int) -> np.ndarray:
-        """Snapshot dated the UTC day containing ``hour``."""
-        return self.interactions[hour // HOURS_PER_DAY]
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """An (entity, anchor-hour) pair eligible for window extraction."""
-
-    entity_id: str
-    anchor: int
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    """One (input window, interaction snapshot, target window) triple."""
-
-    input_ts: np.ndarray    # (lookback, n_features)
-    interaction: np.ndarray  # (interaction_dim,)
-    target: np.ndarray      # (backward + forward,)
-
-
-def make_window(record: EntityRecord, anchor: int, cfg: HorizonConfig) -> TrainingExample:
-    """Cut the training example anchored at ``anchor`` out of ``record``.
-
-    The input block is ``features[anchor - lookback : anchor]``, the target is
-    ``metric[anchor - backward : anchor + forward]``, and the interaction
-    snapshot is the one dated the day containing the anchor hour.
-    """
-    if anchor - cfg.lookback < 0:
-        raise WindowRangeError(
-            f"anchor {anchor} violates anchor - lookback >= 0 (lookback={cfg.lookback})"
-        )
-    if anchor - cfg.backward < 0:
-        raise WindowRangeError(
-            f"anchor {anchor} violates anchor - backward >= 0 (backward={cfg.backward})"
-        )
-    if anchor + cfg.forward > record.hours:
-        raise WindowRangeError(
-            f"anchor {anchor} violates anchor + forward <= {record.hours} "
-            f"(forward={cfg.forward})"
-        )
-    return TrainingExample(
-        input_ts=record.features[anchor - cfg.lookback : anchor],
-        interaction=record.interaction_for_hour(anchor),
-        target=record.metric[anchor - cfg.backward : anchor + cfg.forward],
-    )
-
 
 def anchor_bounds(labeled_end: int, cfg: HorizonConfig) -> tuple[int, int]:
     """Inclusive (low, high) feasible anchor range for a labeled span.
@@ -176,34 +144,21 @@ def anchor_bounds(labeled_end: int, cfg: HorizonConfig) -> tuple[int, int]:
     return cfg.min_anchor, labeled_end - cfg.forward
 
 
-def enumerate_candidates(
-    record: EntityRecord, labeled_end: int, cfg: HorizonConfig
-) -> list[Candidate]:
-    """All feasible anchors for ``record`` whose target fits in the labeled span."""
-    if labeled_end > record.hours:
-        raise ValueError(
-            f"labeled_end {labeled_end} exceeds record length {record.hours}"
-        )
-    lo, hi = anchor_bounds(labeled_end, cfg)
-    return [Candidate(record.entity_id, i) for i in range(lo, hi + 1)]
+def label_cutoff(day: int, cfg: HorizonConfig, hours: int) -> int:
+    """End (exclusive) of the hours whose labels are observable on ``day``.
 
-
-def znormalize(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Scale to zero mean, unit population std; constant input gives zeros.
-
-    Returns the normalized vector and a degeneracy flag that is True when the
-    input had zero variance (callers treat such windows as shapeless).
+    Labels arrive ``label_delay_days`` late; the cutoff is clamped to the
+    ``hours`` of the series.
     """
-    x = np.asarray(x, dtype=np.float64)
-    mean = x.mean()
-    std = x.std()
-    if std == 0.0:
-        return np.zeros_like(x), True
-    return (x - mean) / std, False
+    return min(max(0, (day - cfg.label_delay_days) * HOURS_PER_DAY), hours)
 
 
 def znormalize_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``znormalize`` for a 2-D batch; returns (batch, degenerate mask)."""
+    """Scale each row to zero mean, unit population std; returns (rows, degenerate).
+
+    ``degenerate`` is True for rows with zero variance; those rows come back
+    as zeros (callers treat such windows as shapeless).
+    """
     mat = np.asarray(mat, dtype=np.float64)
     mean = mat.mean(axis=1, keepdims=True)
     std = mat.std(axis=1, keepdims=True)

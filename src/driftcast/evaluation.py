@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import model as model_mod
 from . import trainer as trainer_mod
-from .data import HOURS_PER_DAY, Dataset, HorizonConfig, znormalize_rows
+from .data import HOURS_PER_DAY, Dataset, HorizonConfig, require, znormalize_rows
 from .sampling import parse_scheme
 
 logger = logging.getLogger(__name__)
@@ -36,7 +36,7 @@ class MetricReport:
     degenerate_windows_skipped: int
 
     def __post_init__(self) -> None:
-        assert self.rmse >= 0 and self.nrmse >= 0 and self.r2 <= 1
+        require(self.rmse >= 0 and self.nrmse >= 0 and self.r2 <= 1, "metrics out of range")
 
 
 def compute_metrics(predictions: np.ndarray, truths: np.ndarray) -> MetricReport:
@@ -74,16 +74,12 @@ def compute_metrics(predictions: np.ndarray, truths: np.ndarray) -> MetricReport
 def windows_from_log(
     log: trainer_mod.PredictionLog, dataset: Dataset, horizon: HorizonConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pair every logged prediction with its true metric window."""
-    preds, truths = [], []
-    for day, eidx, pred in zip(log.days, log.entity_idx, log.preds):
-        anchor = day * HOURS_PER_DAY
-        metric = dataset.records[eidx].metric
-        if anchor - horizon.backward < 0 or anchor + horizon.forward > len(metric):
-            continue
-        preds.append(pred)
-        truths.append(metric[anchor - horizon.backward : anchor + horizon.forward])
-    return np.array(preds), np.array(truths)
+    """Pair every logged prediction whose window fits the series with its truth."""
+    starts = log.days * HOURS_PER_DAY - horizon.backward
+    keep = (starts >= 0) & (starts + horizon.horizon <= dataset.hours)
+    metric = np.stack([r.metric for r in dataset.records])
+    hours = starts[keep, None] + np.arange(horizon.horizon)
+    return log.preds[keep], metric[log.entity_idx[keep, None], hours]
 
 
 def read_predictions(
@@ -109,7 +105,6 @@ def read_predictions(
                 order.append(key)
             rows[key][int(rec["offset"])] = float(rec["predicted"])
     want = sorted(rows[order[0]]) if order else []
-    log = trainer_mod.PredictionLog()
     for day, entity_id in order:
         by_offset = rows[(day, entity_id)]
         if sorted(by_offset) != want:
@@ -117,9 +112,11 @@ def read_predictions(
                 f"{path}: day {day}, entity {entity_id} has offsets "
                 f"{sorted(by_offset)} where the first has {want}"
             )
-        log.days.append(day)
-        log.entity_idx.append(dataset.entity_index(entity_id))
-        log.preds.append(np.array([by_offset[o] for o in want]))
+    log = trainer_mod.PredictionLog()
+    if order:
+        log.days = np.array([day for day, _ in order], dtype=np.int64)
+        log.entity_idx = np.array([dataset.entity_index(e) for _, e in order], dtype=np.int64)
+        log.preds = np.array([[rows[key][o] for o in want] for key in order])
     offsets = range(want[0], want[-1] + 1) if want else range(0)
     if want and (want != list(offsets) or not offsets.start <= 0 < offsets.stop):
         raise ValueError(f"{path}: offsets {want} are not a window -backward..forward-1")
@@ -243,9 +240,7 @@ def benchmark(
         offline = trainer_mod.train_offline(dataset, model_cfg, train_cfg)
         metrics_by_variant[variant] = {}
         for scheme in schemes:
-            cfg = trainer_mod.TrainConfig.from_dict(
-                {**train_cfg.to_dict(), "scheme": scheme}
-            )
+            cfg = replace(train_cfg, scheme=scheme)
             try:
                 log, _ = trainer_mod.run_simulation(
                     dataset, model_cfg, cfg, n_days,

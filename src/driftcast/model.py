@@ -10,18 +10,17 @@ Three variants share the temporal convolution stack:
                      ``shape * sigma + mu``; trained with an extra
                      normalized shape term in the loss.
 
-Forward passes accept batched inputs; the single-example wrappers mirror the
-public operation contracts.  Gradients are exact and checked against finite
-differences in the test suite.
+Forward passes take batched inputs (a batch of one for a single example).
+Gradients are exact and checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import znormalize, znormalize_rows
+from .data import znormalize_rows
 from .nnkernel import (
     conv1d_causal,
     conv1d_causal_backward,
@@ -68,41 +67,11 @@ class ModelConfig:
             raise ValueError("shape_loss_weight must be a number or 'auto'")
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_features": self.n_features,
-            "interaction_dim": self.interaction_dim,
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "embed_dim": self.embed_dim,
-            "conv_channels": self.conv_channels,
-            "kernel_width": self.kernel_width,
-            "n_blocks": self.n_blocks,
-            "bank_size": self.bank_size,
-            "shape_loss_weight": self.shape_loss_weight,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
         return cls(**payload)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Model output for one example; decoder fields exist only for ``proposed``."""
-
-    m_hat: np.ndarray
-    shape: np.ndarray | None = None
-    sigma: float | None = None
-    mu: float | None = None
-    mix_weights: np.ndarray | None = None
-    bank: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.shape is not None:
-            assert np.array_equal(self.m_hat, self.shape * self.sigma + self.mu)
-            assert np.all(self.mix_weights > 0)
-            assert abs(self.mix_weights.sum() - 1.0) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -369,17 +338,29 @@ def batch_backward(params, cfg: ModelConfig, cache, grad_m_hat, grad_shape_extra
 # --------------------------------------------------------------------------
 
 
+def loss_errors(m_hat: np.ndarray, shape: np.ndarray | None, Y: np.ndarray):
+    """(err, serr): the prediction error and, given a shape, the shape error.
+
+    ``serr`` compares ``shape`` with the z-normalized target and is zero on
+    rows whose target is constant; it is None when ``shape`` is.  A row's
+    loss is ``mean(err**2) + gamma * mean(serr**2)``.
+    """
+    err = m_hat - Y
+    if shape is None:
+        return err, None
+    zy, degenerate = znormalize_rows(Y)
+    serr = shape - zy
+    serr[degenerate] = 0.0
+    return err, serr
+
+
 def batch_losses(params, cfg: ModelConfig, X, I, Y, gamma: float) -> np.ndarray:
     """Per-example loss values (no gradients)."""
     out, _ = batch_forward(params, cfg, X, I)
-    err = out["m_hat"] - Y
+    err, serr = loss_errors(out["m_hat"], out.get("shape"), Y)
     losses = (err * err).mean(axis=1)
-    if cfg.variant == "proposed":
-        zy, degenerate = znormalize_rows(Y)
-        serr = out["shape"] - zy
-        shape_term = (serr * serr).mean(axis=1)
-        shape_term[degenerate] = 0.0
-        losses = losses + gamma * shape_term
+    if serr is not None:
+        losses = losses + gamma * (serr * serr).mean(axis=1)
     return losses
 
 
@@ -387,14 +368,11 @@ def batch_loss_and_grads(params, cfg: ModelConfig, X, I, Y, gamma: float):
     """Mean batch loss and gradients for every parameter."""
     b, h = Y.shape
     out, cache = batch_forward(params, cfg, X, I)
-    err = out["m_hat"] - Y
+    err, serr = loss_errors(out["m_hat"], out.get("shape"), Y)
     loss = float((err * err).mean(axis=1).mean())
     grad_m_hat = 2.0 * err / (h * b)
     grad_shape = None
-    if cfg.variant == "proposed":
-        zy, degenerate = znormalize_rows(Y)
-        serr = out["shape"] - zy
-        serr[degenerate] = 0.0
+    if serr is not None:
         loss += gamma * float((serr * serr).mean(axis=1).mean())
         grad_shape = 2.0 * gamma * serr / (h * b)
     grads = batch_backward(params, cfg, cache, grad_m_hat, grad_shape)
@@ -404,60 +382,3 @@ def batch_loss_and_grads(params, cfg: ModelConfig, X, I, Y, gamma: float):
 def batch_predict(params, cfg: ModelConfig, X, I) -> np.ndarray:
     out, _ = batch_forward(params, cfg, X, I)
     return out["m_hat"]
-
-
-# --------------------------------------------------------------------------
-# Single-example wrappers (operation contracts)
-# --------------------------------------------------------------------------
-
-
-def temporal_encode(T: np.ndarray, params, cfg: ModelConfig) -> np.ndarray:
-    h_t, _ = _tcn_forward(params, cfg, T[None, :, :])
-    return h_t[0]
-
-
-def scale_decode(h_i, h_t, params, cfg: ModelConfig):
-    u, _ = _mlp2_forward(params, "top", h_t[None, :], relu_out=True)
-    w_flat, _ = _mlp2_forward(params, "scale_inter", h_i[None, :], relu_out=False)
-    w_mat = w_flat.reshape(1, cfg.embed_dim, 2)
-    out = np.einsum("bk,bkj->bj", u, w_mat)[0]
-    return float(out[0]), float(out[1])
-
-
-def shape_decode(h_i, h_t, params, cfg: ModelConfig):
-    bank_flat, _ = _mlp2_forward(params, "bank", h_i[None, :], relu_out=False)
-    bank = bank_flat.reshape(cfg.bank_size, cfg.horizon)
-    logits, _ = _mlp2_forward(params, "mix", h_t[None, :], relu_out=False)
-    mix = softmax(logits)[0]
-    shape = mix @ bank
-    return shape, mix, bank
-
-
-def forward(example, params, cfg: ModelConfig) -> Prediction:
-    """Single-example forward pass returning a ``Prediction``."""
-    X = np.asarray(example.input_ts, dtype=np.float64)[None, :, :]
-    I = np.asarray(example.interaction, dtype=np.float64)[None, :]
-    out, _ = batch_forward(params, cfg, X, I)
-    if cfg.variant == "proposed":
-        return Prediction(
-            m_hat=out["m_hat"][0],
-            shape=out["shape"][0],
-            sigma=float(out["sigma"][0]),
-            mu=float(out["mu"][0]),
-            mix_weights=out["mix_weights"][0],
-            bank=out["bank"][0],
-        )
-    return Prediction(m_hat=out["m_hat"][0])
-
-
-def loss(pred: Prediction, target: np.ndarray, gamma: float) -> float:
-    """MSE plus (for the proposed variant) the normalized shape term."""
-    target = np.asarray(target, dtype=np.float64)
-    err = pred.m_hat - target
-    value = float((err * err).mean())
-    if pred.shape is not None:
-        ztarget, degenerate = znormalize(target)
-        if not degenerate:
-            serr = pred.shape - ztarget
-            value += gamma * float((serr * serr).mean())
-    return value

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import require
+
 logger = logging.getLogger(__name__)
 
 # A subsequence whose std is this small (relative to its mean level) cannot be
@@ -32,7 +34,7 @@ class DistanceProfile:
     degenerate: np.ndarray  # True where the series subsequence was constant
 
     def __post_init__(self) -> None:
-        assert np.all(self.distances >= 0)
+        require(np.all(self.distances >= 0), "distances must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,8 @@ class MatrixProfileIndex:
 
     def __post_init__(self) -> None:
         idx = np.arange(len(self.nn_index))
-        assert np.all(np.abs(idx - self.nn_index) > self.exclusion_radius)
+        require(np.all(np.abs(idx - self.nn_index) > self.exclusion_radius),
+                "nearest neighbours must lie outside the exclusion zone")
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class ArcCountCurve:
     cac: np.ndarray
 
     def __post_init__(self) -> None:
-        assert np.all((self.cac >= 0.0) & (self.cac <= 1.0))
+        require(np.all((self.cac >= 0.0) & (self.cac <= 1.0)), "cac must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,9 @@ class SamplingCurve:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        assert np.all(self.p >= 0)
-        assert abs(self.p.sum() - 1.0) <= 1e-9
-        assert np.all(np.diff(self.p) >= -1e-15)
+        require(np.all(self.p >= 0), "curve probabilities must be non-negative")
+        require(abs(self.p.sum() - 1.0) <= 1e-9, "curve probabilities must sum to 1")
+        require(np.all(np.diff(self.p) >= -1e-15), "curve must be non-decreasing")
 
 
 def _window_stats(series: np.ndarray, m: int):
@@ -81,7 +84,7 @@ def _window_stats(series: np.ndarray, m: int):
     windows = np.lib.stride_tricks.sliding_window_view(series, m)
     flat = windows.max(axis=1) == windows.min(axis=1)
     degenerate = flat | (sig <= DEGENERATE_REL_STD * np.maximum(1.0, np.abs(mu)))
-    assert len(mu) == n - m + 1
+    require(len(mu) == n - m + 1, "one window stat per subsequence")
     return mu, sig, degenerate
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import require
 from .profiles import mass
 
 logger = logging.getLogger(__name__)
@@ -90,7 +91,7 @@ class CandidateArray:
     anchors: np.ndarray
 
     def __post_init__(self) -> None:
-        assert len(self.entity_idx) == len(self.anchors)
+        require(len(self.entity_idx) == len(self.anchors), "one entity index per anchor")
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -109,9 +110,9 @@ class CandidateWeights:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        assert len(self.weights) == len(self.candidates)
-        assert np.all(self.weights >= 0)
-        assert abs(self.weights.sum() - 1.0) <= 1e-9
+        require(len(self.weights) == len(self.candidates), "one weight per candidate")
+        require(np.all(self.weights >= 0), "weights must be non-negative")
+        require(abs(self.weights.sum() - 1.0) <= 1e-9, "weights must sum to 1")
 
 
 def uniform_weights(candidates: CandidateArray) -> CandidateWeights:
@@ -190,7 +191,7 @@ class ErrorCache:
     day: int
 
     def __post_init__(self) -> None:
-        assert np.all(self.errors >= 0)
+        require(np.all(self.errors >= 0), "cached errors must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def refresh_error_cache(
         old_keys = cache.candidates.keys
 
     errors = np.asarray(loss_fn(tracked), dtype=np.float64)
-    assert errors.shape == (len(tracked),)
+    require(errors.shape == (len(tracked),), "loss_fn must give one loss per candidate")
 
     n = len(tracked)
     snapshots = np.zeros((n, capacity))

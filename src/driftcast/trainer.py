@@ -1,11 +1,16 @@
 """Offline training, the daily online update loop, and checkpointing.
 
+Training windows are enumerated as a ``CandidateArray`` by
+``build_candidates`` and cut in batches by ``DatasetIndex.gather``; this is
+the only window path.
+
 The simulation walks one day at a time.  Each day the labeled horizon
 advances (metric values become observable only after the configured delay),
 scheme-specific weighting state is refreshed, the model takes a fixed number
 of weighted mini-batch steps, and a multi-horizon prediction anchored at the
-day's midnight is emitted for every entity.  Predictions are a pure function
-of features dated up to the anchor and labels dated before the delay cutoff.
+day's midnight is emitted for every entity into a ``PredictionLog`` of three
+day-major arrays.  Predictions are a pure function of features dated up to
+the anchor and labels dated before the delay cutoff.
 
 Checkpoints serialize parameters, optimizer moments, RNG states, sampling
 caches and the prediction log; resuming from a checkpoint reproduces an
@@ -17,14 +22,21 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import model as model_mod
 from . import sampling
-from .data import HOURS_PER_DAY, Dataset, HorizonConfig, anchor_bounds
+from .data import (
+    HOURS_PER_DAY,
+    Dataset,
+    HorizonConfig,
+    WindowRangeError,
+    anchor_bounds,
+    label_cutoff,
+)
 from .nnkernel import AdamState, adam_step
 from .profiles import fluss_probability
 from .sampling import CandidateArray, SchemeSpec, parse_scheme
@@ -68,28 +80,8 @@ class TrainConfig:
         if self.scheme != "frozen":
             parse_scheme(self.scheme)
 
-    @property
-    def label_delay_days(self) -> int:
-        return self.horizon.label_delay_days
-
     def to_dict(self) -> dict:
-        return {
-            "offline_epochs": self.offline_epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "n_iter": self.n_iter,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "offline_days": self.offline_days,
-            "error_subsample": self.error_subsample,
-            "dynamics_window": self.dynamics_window,
-            "horizon": {
-                "lookback": self.horizon.lookback,
-                "backward": self.horizon.backward,
-                "forward": self.horizon.forward,
-                "label_delay_days": self.horizon.label_delay_days,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
@@ -99,21 +91,27 @@ class TrainConfig:
 
 
 class PredictionLog:
-    """Per-day, per-entity multi-horizon predictions in emission order."""
+    """Multi-horizon predictions in emission order, one row per (day, entity).
+
+    Row ``i`` is the prediction made on ``days[i]`` for the entity at index
+    ``entity_idx[i]`` of the dataset: ``days`` and ``entity_idx`` are (n,)
+    int64 and ``preds`` is (n, horizon) float64.
+    """
 
     def __init__(self) -> None:
-        self.days: list[int] = []
-        self.entity_idx: list[int] = []
-        self.preds: list[np.ndarray] = []
+        self.days = np.empty(0, dtype=np.int64)
+        self.entity_idx = np.empty(0, dtype=np.int64)
+        self.preds = np.empty((0, 0))
 
     def __len__(self) -> int:
         return len(self.days)
 
     def append_day(self, day: int, entity_indices, m_hat: np.ndarray) -> None:
-        for row, eidx in enumerate(entity_indices):
-            self.days.append(day)
-            self.entity_idx.append(int(eidx))
-            self.preds.append(m_hat[row].copy())
+        self.preds = np.concatenate([self.preds, m_hat]) if len(self) else m_hat.copy()
+        self.days = np.concatenate([self.days, np.full(len(m_hat), day, dtype=np.int64)])
+        self.entity_idx = np.concatenate(
+            [self.entity_idx, np.asarray(entity_indices, dtype=np.int64)]
+        )
 
     def write_csv(
         self,
@@ -124,28 +122,30 @@ class PredictionLog:
     ) -> None:
         """Write rows day,entity_id,offset,predicted,actual_when_available.
 
-        Actual values are filled only for hours at or before ``labeled_end``,
+        Actual values are filled only for hours before ``labeled_end``,
         i.e. only labels that were observable by the end of the simulation.
         """
+        offsets = list(range(-horizon.backward, horizon.forward))
+        h = len(offsets)
         lines = ["day,entity_id,offset,predicted,actual_when_available"]
-        for day, eidx, pred in zip(self.days, self.entity_idx, self.preds):
+        for day, eidx, pred in zip(
+            self.days.tolist(), self.entity_idx.tolist(), self.preds.tolist()
+        ):
             record = dataset.records[eidx]
-            anchor = day * HOURS_PER_DAY
-            for pos, offset in enumerate(range(-horizon.backward, horizon.forward)):
-                hour = anchor + offset
-                actual = ""
-                if hour < labeled_end:
-                    actual = repr(float(record.metric[hour]))
-                lines.append(
-                    f"{day},{record.entity_id},{offset},{float(pred[pos])!r},{actual}"
-                )
+            start = day * HOURS_PER_DAY - horizon.backward
+            known = record.metric[start : min(labeled_end, start + h)].tolist()
+            actual = [repr(v) for v in known] + [""] * (h - len(known))
+            prefix = f"{day},{record.entity_id},"
+            lines.extend(
+                f"{prefix}{offset},{value!r},{a}"
+                for offset, value, a in zip(offsets, pred, actual)
+            )
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
 class DayPrediction:
     day: int
-    entity_ids: list[str]
     m_hat: np.ndarray  # (n_entities_emitted, horizon)
 
 
@@ -183,8 +183,24 @@ class DatasetIndex:
         self.target_views = [swv(r.metric, horizon.horizon) for r in dataset.records]
 
     def gather(self, cands: CandidateArray, with_targets: bool = True):
+        """(X, I, Y) windows of the candidates; Y is None without targets.
+
+        Every anchor must lie in ``[min_anchor, hours - forward]``, or in
+        ``[lookback, hours - 1]`` without targets; otherwise the strided
+        views would wrap or overrun, and ``WindowRangeError`` is raised.
+        """
         n = len(cands)
         h = self.horizon
+        if n:
+            lo = h.min_anchor if with_targets else h.lookback
+            hi = self.dataset.hours - (h.forward if with_targets else 1)
+            first, last = int(cands.anchors.min()), int(cands.anchors.max())
+            if first < lo or last > hi:
+                raise WindowRangeError(
+                    f"anchors {first}..{last} leave the feasible range {lo}..{hi} "
+                    f"(lookback={h.lookback}, backward={h.backward}, "
+                    f"forward={h.forward}, hours={self.dataset.hours})"
+                )
         X = np.empty((n, h.lookback, self.dataset.n_features))
         I = np.empty((n, self.dataset.interaction_dim))
         Y = np.empty((n, h.horizon)) if with_targets else None
@@ -200,17 +216,16 @@ class DatasetIndex:
 
 def build_candidates(dataset: Dataset, labeled_end: int, horizon: HorizonConfig) -> CandidateArray:
     """All feasible (entity, anchor) pairs for the labeled span, in order."""
+    if labeled_end > dataset.hours:
+        raise ValueError(
+            f"labeled_end {labeled_end} exceeds the series length {dataset.hours}"
+        )
     lo, hi = anchor_bounds(labeled_end, horizon)
-    entity_parts, anchor_parts = [], []
-    for idx in range(len(dataset.records)):
-        if hi < lo:
-            continue
-        anchors = np.arange(lo, hi + 1, dtype=np.int64)
-        entity_parts.append(np.full(len(anchors), idx, dtype=np.int32))
-        anchor_parts.append(anchors)
-    if not entity_parts:
-        return CandidateArray(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64))
-    return CandidateArray(np.concatenate(entity_parts), np.concatenate(anchor_parts))
+    anchors = np.arange(lo, max(lo, hi + 1), dtype=np.int64)
+    n = len(dataset.records)
+    return CandidateArray(
+        np.repeat(np.arange(n, dtype=np.int32), len(anchors)), np.tile(anchors, n)
+    )
 
 
 def _rng_streams(seed: int) -> list[np.random.Generator]:
@@ -269,7 +284,7 @@ def train_offline(
 ) -> SimulationState:
     """Shuffled mini-batch training over the labeled part of the offline span."""
     horizon = train_cfg.horizon
-    labeled_end = (train_cfg.offline_days - train_cfg.label_delay_days) * HOURS_PER_DAY
+    labeled_end = label_cutoff(train_cfg.offline_days, horizon, dataset.hours)
     cands = build_candidates(dataset, labeled_end, horizon)
     if len(cands) == 0:
         raise ValueError(
@@ -342,7 +357,7 @@ def online_step(
         index = DatasetIndex(dataset, train_cfg.horizon)
     horizon = train_cfg.horizon
     day = state.current_day
-    labeled_end = max(0, (day - train_cfg.label_delay_days) * HOURS_PER_DAY)
+    labeled_end = label_cutoff(day, horizon, dataset.hours)
     frozen = train_cfg.scheme == "frozen"
 
     if not frozen:
@@ -405,15 +420,10 @@ def online_step(
                 state.examples_consumed += train_cfg.batch_size
 
     anchor = day * HOURS_PER_DAY
-    emitted_idx = []
-    for eidx in range(len(dataset.records)):
-        if anchor - horizon.lookback < 0 or anchor > dataset.hours or day >= dataset.days:
-            logger.warning(
-                "day %d: entity %s lacks feature history, skipped",
-                day, dataset.records[eidx].entity_id,
-            )
-            continue
-        emitted_idx.append(eidx)
+    emitted_idx = list(range(len(dataset.records)))
+    if anchor < horizon.lookback or day >= dataset.days:
+        logger.warning("day %d: no feature history at hour %d, nothing emitted", day, anchor)
+        emitted_idx = []
     cand = CandidateArray(
         np.array(emitted_idx, dtype=np.int32),
         np.full(len(emitted_idx), anchor, dtype=np.int64),
@@ -424,7 +434,6 @@ def online_step(
     state.current_day = day + 1
     return DayPrediction(
         day=day,
-        entity_ids=[dataset.records[e].entity_id for e in emitted_idx],
         m_hat=m_hat,
     )
 
@@ -537,9 +546,9 @@ def save_checkpoint(
     for eidx, _ in header["curves"]:
         blob += _pack_array(state.curves[eidx], "<f8")
     if len(state.log):
-        blob += _pack_array(np.array(state.log.days), "<i8")
-        blob += _pack_array(np.array(state.log.entity_idx), "<i8")
-        blob += _pack_array(np.stack(state.log.preds), "<f8")
+        blob += _pack_array(state.log.days, "<i8")
+        blob += _pack_array(state.log.entity_idx, "<i8")
+        blob += _pack_array(state.log.preds, "<f8")
     blob += hashlib.sha256(bytes(blob)).digest()
     Path(path).write_bytes(bytes(blob))
 
@@ -586,26 +595,22 @@ def load_checkpoint(path: str | Path):
 
     model_cfg = model_mod.ModelConfig.from_dict(header["model_config"])
     train_cfg = TrainConfig.from_dict(header["train_config"])
-    params = {}
-    for name, shape in header["params"]:
-        count = int(np.prod(shape)) if shape else 1
-        params[name] = cur.read_array(count, "<f8").reshape(shape)
-    adam = {}
-    moments_m = {
-        name: cur.read_array(int(np.prod(shape)) if shape else 1, "<f8").reshape(shape)
-        for name, shape in header["params"]
-    }
-    moments_v = {
-        name: cur.read_array(int(np.prod(shape)) if shape else 1, "<f8").reshape(shape)
-        for name, shape in header["params"]
-    }
-    for name, shape in header["params"]:
-        adam[name] = AdamState(
+    def read_params() -> dict[str, np.ndarray]:
+        return {
+            name: cur.read_array(int(np.prod(shape)), "<f8").reshape(shape)
+            for name, shape in header["params"]
+        }
+
+    params, moments_m, moments_v = read_params(), read_params(), read_params()
+    adam = {
+        name: AdamState(
             first_moment=moments_m[name],
             second_moment=moments_v[name],
             step_count=int(header["adam_steps"][name]),
             learning_rate=train_cfg.learning_rate,
         )
+        for name in params
+    }
     cache = None
     if header["cache"] is not None:
         n = header["cache"]["n"]
@@ -631,10 +636,9 @@ def load_checkpoint(path: str | Path):
     log = PredictionLog()
     if header["log_rows"]:
         rows, h = header["log_rows"], header["horizon_len"]
-        log.days = [int(v) for v in cur.read_array(rows, "<i8")]
-        log.entity_idx = [int(v) for v in cur.read_array(rows, "<i8")]
-        preds = cur.read_array(rows * h, "<f8").reshape(rows, h)
-        log.preds = [preds[i] for i in range(rows)]
+        log.days = cur.read_array(rows, "<i8")
+        log.entity_idx = cur.read_array(rows, "<i8")
+        log.preds = cur.read_array(rows * h, "<f8").reshape(rows, h)
     if cur.pos != len(body):
         raise CheckpointIntegrityError(f"{path}: trailing bytes in checkpoint")
 

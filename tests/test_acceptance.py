@@ -506,10 +506,9 @@ def test_criterion_10_causality(tmp_path):
     log_tampered, _ = T.run_simulation(tampered, mc, tc, n_days)
 
     same = (
-        log_clean.days == log_tampered.days
-        and log_clean.entity_idx == log_tampered.entity_idx
-        and all(np.array_equal(a, b)
-                for a, b in zip(log_clean.preds, log_tampered.preds))
+        np.array_equal(log_clean.days, log_tampered.days)
+        and np.array_equal(log_clean.entity_idx, log_tampered.entity_idx)
+        and np.array_equal(log_clean.preds, log_tampered.preds)
     )
     elapsed = time.perf_counter() - start
     report(10, "causality", same,

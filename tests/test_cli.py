@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from driftcast.cli import load_config, run_cli, ConfigError
+from driftcast.cli import DEFAULT_CONFIG, load_config, run_cli, ConfigError
 
 TINY_CONFIG = {
     "gen": {"n_entities": 5, "n_clusters": 2, "d": 2, "days": 40, "seed": 3,
@@ -197,6 +197,33 @@ class TestHorizonSourceOfTruth:
                         "--days", "1", "--out", str(bare)]) == 0
         manifest = json.loads((bare / "run_manifest.json").read_text())
         assert manifest["config"]["horizon"] == TINY_CONFIG["horizon"]
+
+    def test_run_online_manifest_records_the_model_that_ran(self, run_6_6, tmp_path):
+        data, ckpt, out_dir, _ = run_6_6
+        ran = {**DEFAULT_CONFIG["model"], **TINY_CONFIG["model"]}
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["config"]["model"] == ran
+        # without a config the checkpoint's model, not the defaults, is recorded
+        bare = tmp_path / "bare_model_run"
+        assert run_cli(["run-online", "--data", data, "--ckpt", str(ckpt),
+                        "--days", "1", "--out", str(bare)]) == 0
+        manifest = json.loads((bare / "run_manifest.json").read_text())
+        assert manifest["config"]["model"] == ran
+        assert ran["conv_channels"] != DEFAULT_CONFIG["model"]["conv_channels"]
+
+    def test_run_online_rejects_a_config_model_unlike_the_checkpoint(self, run_6_6, tmp_path,
+                                                                     capsys):
+        data, ckpt, _, _ = run_6_6
+        wide = dict(TINY_CONFIG, model=dict(TINY_CONFIG["model"], conv_channels=32))
+        wide_path = tmp_path / "config_wide.json"
+        wide_path.write_text(json.dumps(wide))
+        out_dir = tmp_path / "wide_run"
+        capsys.readouterr()
+        assert run_cli(["run-online", "--data", data, "--ckpt", str(ckpt),
+                        "--days", "1", "--out", str(out_dir),
+                        "--config", str(wide_path)]) == 2
+        assert "model" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_manifest_names_the_blas_build_and_threads(self, run_6_6):
         _, _, out_dir, _ = run_6_6

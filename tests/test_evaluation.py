@@ -2,6 +2,42 @@ import numpy as np
 import pytest
 
 from driftcast import evaluation as E
+from driftcast import trainer as T
+from driftcast.data import Dataset, EntityRecord, HorizonConfig
+
+
+def windows_from_log_rowwise(log, dataset, horizon):
+    """One row at a time: the reference for ``windows_from_log``."""
+    preds, truths = [], []
+    for day, eidx, pred in zip(log.days, log.entity_idx, log.preds):
+        anchor = day * 24
+        metric = dataset.records[eidx].metric
+        if anchor - horizon.backward < 0 or anchor + horizon.forward > len(metric):
+            continue
+        preds.append(pred)
+        truths.append(metric[anchor - horizon.backward : anchor + horizon.forward])
+    return np.array(preds), np.array(truths)
+
+
+class TestWindowsFromLog:
+    def test_matches_the_rowwise_pairing(self):
+        rng = np.random.default_rng(7)
+        records = tuple(
+            EntityRecord(entity_id=f"e{i}", features=rng.normal(size=(120, 2)),
+                         metric=rng.normal(size=120), interactions=np.ones((5, 3)))
+            for i in range(3)
+        )
+        dataset = Dataset(records=records, meta={})
+        horizon = HorizonConfig(lookback=24, backward=30, forward=6)
+        log = T.PredictionLog()
+        # day 1's window starts before hour 0 and day 5's ends past the series
+        for day in range(6):
+            log.append_day(day, [2, 0, 1], rng.normal(size=(3, horizon.horizon)))
+        preds, truths = E.windows_from_log(log, dataset, horizon)
+        ref_preds, ref_truths = windows_from_log_rowwise(log, dataset, horizon)
+        assert preds.shape == truths.shape == (9, horizon.horizon)
+        np.testing.assert_array_equal(preds, ref_preds)
+        np.testing.assert_array_equal(truths, ref_truths)
 
 
 class TestComputeMetrics:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftcast import model as M
-from driftcast.data import TrainingExample, znormalize
+from driftcast.data import znormalize_rows
 from driftcast.nnkernel import AdamState, adam_step
 
 SMALL = dict(
@@ -59,23 +59,41 @@ class TestInteractionEncode:
             M.interaction_encode(np.zeros(4), np.eye(4))
 
 
+BATCH_SIZES = (1, 3)
+
+
+def h_t_of(params, cfg, X, I):
+    """Temporal representation from ``batch_forward``'s cache."""
+    return M.batch_forward(params, cfg, X, I)[1]["h_t"]
+
+
+def row_losses(err, serr, gamma):
+    losses = (err * err).mean(axis=1)
+    return losses if serr is None else losses + gamma * (serr * serr).mean(axis=1)
+
+
 class TestTemporalEncode:
     def test_zero_params_give_zero(self):
         cfg = small_config()
         params = {k: np.zeros_like(v) for k, v in
                   M.init_params(cfg, np.random.default_rng(0)).items()}
-        h = M.temporal_encode(np.random.default_rng(1).normal(size=(16, 3)), params, cfg)
-        np.testing.assert_array_equal(h, np.zeros(cfg.conv_channels))
+        for b in BATCH_SIZES:
+            X, I, _ = random_batch(cfg, b=b, seed=1)
+            np.testing.assert_array_equal(h_t_of(params, cfg, X, I),
+                                          np.zeros((b, cfg.conv_channels)))
 
     def test_last_row_sensitivity(self):
         cfg = small_config()
         params = M.init_params(cfg, np.random.default_rng(3))
-        T = np.random.default_rng(4).normal(size=(16, 3))
-        h1 = M.temporal_encode(T, params, cfg)
-        T2 = T.copy()
-        T2[-1] += 1.0
-        h2 = M.temporal_encode(T2, params, cfg)
-        assert not np.allclose(h1, h2)
+        for b in BATCH_SIZES:
+            X, I, _ = random_batch(cfg, b=b, seed=4)
+            h1 = h_t_of(params, cfg, X, I)
+            X2 = X.copy()
+            X2[b - 1, -1] += 1.0
+            h2 = h_t_of(params, cfg, X2, I)
+            assert not np.allclose(h1[b - 1], h2[b - 1])
+            # the other examples of the batch are untouched
+            np.testing.assert_array_equal(h1[: b - 1], h2[: b - 1])
 
 
 class TestScaleDecode:
@@ -85,12 +103,11 @@ class TestScaleDecode:
         params["scale_inter1.W"][:] = 0.0
         params["scale_inter2.W"][:] = 0.0
         params["scale_inter2.b"][:] = 0.0
-        sigma, mu = M.scale_decode(
-            np.random.default_rng(6).normal(size=8) ** 2,
-            np.random.default_rng(7).normal(size=7),
-            params, cfg,
-        )
-        assert sigma == 0.0 and mu == 0.0
+        for b in BATCH_SIZES:
+            X, I, _ = random_batch(cfg, b=b, seed=6)
+            out, _ = M.batch_forward(params, cfg, X, I)
+            np.testing.assert_array_equal(out["sigma"], np.zeros(b))
+            np.testing.assert_array_equal(out["mu"], np.zeros(b))
 
     def test_basis_pick(self):
         # processed temporal vector e_1 against a known mapping matrix
@@ -125,22 +142,28 @@ class TestShapeDecode:
         cfg = small_config()
         params = M.init_params(cfg, np.random.default_rng(11))
         for seed in range(5):
-            h_i = np.random.default_rng(seed).normal(size=cfg.embed_dim)
-            h_t = np.random.default_rng(seed + 50).normal(size=cfg.conv_channels)
-            _, mix, _ = M.shape_decode(h_i, h_t, params, cfg)
-            assert np.all(mix > 0)
-            assert mix.sum() == pytest.approx(1.0, abs=1e-12)
+            for b in BATCH_SIZES:
+                X, I, _ = random_batch(cfg, b=b, seed=seed)
+                out, _ = M.batch_forward(params, cfg, X, I)
+                mix = out["mix_weights"]
+                assert mix.shape == (b, cfg.bank_size)
+                assert np.all(mix > 0)
+                np.testing.assert_allclose(mix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(
+                    out["shape"], np.einsum("bn,bnh->bh", mix, out["bank"])
+                )
 
 
 class TestForward:
     def test_amalgamate_identity(self):
         cfg = small_config()
         params = M.init_params(cfg, np.random.default_rng(12))
-        X, I, _ = random_batch(cfg, b=3, seed=13)
-        out, _ = M.batch_forward(params, cfg, X, I)
-        np.testing.assert_array_equal(
-            out["m_hat"], out["shape"] * out["sigma"][:, None] + out["mu"][:, None]
-        )
+        for b in BATCH_SIZES:
+            X, I, _ = random_batch(cfg, b=b, seed=13)
+            out, _ = M.batch_forward(params, cfg, X, I)
+            np.testing.assert_array_equal(
+                out["m_hat"], out["shape"] * out["sigma"][:, None] + out["mu"][:, None]
+            )
 
     def test_flat_shape_gives_constant_output(self):
         shape = np.zeros(6)
@@ -154,62 +177,69 @@ class TestForward:
         for variant in M.VARIANTS:
             cfg = small_config(variant)
             params = M.init_params(cfg, np.random.default_rng(14))
-            example = TrainingExample(
-                input_ts=np.random.default_rng(15).normal(size=(16, 3)),
-                interaction=np.abs(np.random.default_rng(16).normal(size=5)) + 0.1,
-                target=np.zeros(6),
-            )
-            pred = M.forward(example, params, cfg)
-            assert pred.m_hat.shape == (6,)
-            if variant == "proposed":
-                assert pred.shape is not None and pred.bank.shape == (4, 6)
-            else:
-                assert pred.shape is None
+            X, I, _ = random_batch(cfg, b=3, seed=15)
+            batch, _ = M.batch_forward(params, cfg, X, I)
+            for b in BATCH_SIZES:
+                out, _ = M.batch_forward(params, cfg, X[:b], I[:b])
+                assert out["m_hat"].shape == (b, 6)
+                # each example's output does not depend on the rest of the batch
+                np.testing.assert_allclose(out["m_hat"], batch["m_hat"][:b],
+                                           rtol=0, atol=1e-12)
+                if variant == "proposed":
+                    assert out["shape"].shape == (b, 6)
+                    assert out["bank"].shape == (b, 4, 6)
+                else:
+                    assert set(out) == {"m_hat"}
 
 
 class TestLoss:
+    """``loss_errors`` on hand-made rows, and the batch losses built on it."""
+
     def test_perfect_prediction_zero_loss(self):
-        target = np.array([1.0, 2.0, 3.0, 4.0])
-        ztarget, _ = znormalize(target)
-        pred = M.Prediction(
-            m_hat=ztarget * 2.0 + 1.0, shape=ztarget, sigma=2.0, mu=1.0,
-            mix_weights=np.array([0.5, 0.5]), bank=np.vstack([ztarget, ztarget]),
-        )
-        assert M.loss(pred, ztarget * 2.0 + 1.0, gamma=3.0) == pytest.approx(0.0)
+        target = np.array([[1.0, 2.0, 3.0, 4.0]])
+        ztarget, _ = znormalize_rows(target)
+        err, serr = M.loss_errors(ztarget * 2.0 + 1.0, ztarget, ztarget * 2.0 + 1.0)
+        assert row_losses(err, serr, gamma=3.0)[0] == pytest.approx(0.0)
 
     def test_zero_shape_term_is_gamma(self):
         # z-scores have unit population variance, so a flat shape costs gamma
-        target = np.array([1.0, 2.0, 4.0, 8.0])
-        shape = np.zeros(4)
-        pred = M.Prediction(
-            m_hat=shape * 1.0 + 0.0, shape=shape, sigma=1.0, mu=0.0,
-            mix_weights=np.array([1.0]), bank=np.zeros((1, 4)),
-        )
+        target = np.array([[1.0, 2.0, 4.0, 8.0]])
+        shape = np.zeros((1, 4))
+        err, serr = M.loss_errors(shape * 1.0 + 0.0, shape, target)
         expected_mse = float((target**2).mean())
-        assert M.loss(pred, target, gamma=2.5) == pytest.approx(expected_mse + 2.5)
+        assert row_losses(err, serr, gamma=2.5)[0] == pytest.approx(expected_mse + 2.5)
+        # without a shape (base variants) only the error term is left
+        err, serr = M.loss_errors(shape, None, target)
+        assert serr is None
+        assert row_losses(err, serr, gamma=2.5)[0] == pytest.approx(expected_mse)
 
     def test_degenerate_target_drops_shape_term(self):
-        shape = np.array([1.0, -1.0, 0.0])
-        pred = M.Prediction(
-            m_hat=shape * 1.0 + 0.0, shape=shape, sigma=1.0, mu=0.0,
-            mix_weights=np.array([1.0]), bank=shape[None, :],
-        )
-        target = np.full(3, 7.0)
-        expected_mse = float(((shape - target) ** 2).mean())
-        assert M.loss(pred, target, gamma=10.0) == pytest.approx(expected_mse)
+        shape = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0]])
+        target = np.array([[7.0, 7.0, 7.0], [1.0, 2.0, 3.0]])
+        err, serr = M.loss_errors(shape * 1.0 + 0.0, shape, target)
+        np.testing.assert_array_equal(serr[0], np.zeros(3))
+        assert np.all(serr[1] != 0.0)
+        expected_mse = float(((shape[0] - target[0]) ** 2).mean())
+        assert row_losses(err, serr, gamma=10.0)[0] == pytest.approx(expected_mse)
 
     def test_matches_hand_computed_value(self):
         rng = np.random.default_rng(17)
         cfg = small_config()
         params = M.init_params(cfg, rng)
         X, I, Y = random_batch(cfg, b=4, seed=18)
+        Y[2] = 1.5
         losses = M.batch_losses(params, cfg, X, I, Y, gamma=0.7)
         out, _ = M.batch_forward(params, cfg, X, I)
         for i in range(4):
             mse = float(((out["m_hat"][i] - Y[i]) ** 2).mean())
-            zy, degenerate = znormalize(Y[i])
+            y = Y[i]
+            degenerate = y.std() == 0.0
+            zy = np.zeros_like(y) if degenerate else (y - y.mean()) / y.std()
             nmse = 0.0 if degenerate else float(((out["shape"][i] - zy) ** 2).mean())
             assert losses[i] == pytest.approx(mse + 0.7 * nmse, abs=1e-12)
+        # the mean training loss is the mean of the per-example losses
+        loss, _ = M.batch_loss_and_grads(params, cfg, X, I, Y, gamma=0.7)
+        assert loss == pytest.approx(losses.mean(), abs=1e-12)
 
 
 def finite_difference_check(variant, seed=0, coords=40, eps=1e-6, tol=1e-5):

@@ -1,8 +1,13 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import driftcast
 from driftcast import sampling as S
 
 CHI2_CRIT_999_DF99 = 148.23035916510173  # chi2.ppf(0.999, 99), frozen from scipy
@@ -317,3 +322,31 @@ class TestWeightInvariants:
         cands = single_entity_candidates([1, 2])
         with pytest.raises(AssertionError):
             S.CandidateWeights(cands, np.array([1.5, -0.5]))
+
+
+OPTIMIZED_SCRIPT = """
+import numpy as np
+from driftcast.data import InvariantError
+from driftcast.profiles import ArcCountCurve
+from driftcast.sampling import CandidateArray, CandidateWeights
+
+cands = CandidateArray(np.zeros(2, dtype=np.int32), np.array([1, 2]))
+for make in (lambda: CandidateWeights(cands, np.array([1.5, -0.5])),
+             lambda: ArcCountCurve(cac=np.array([0.5, 1.2]))):
+    try:
+        make()
+        print("passed")
+    except InvariantError:
+        print("raised")
+print(__debug__)
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = str(Path(driftcast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised", "False"]

@@ -1,9 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from driftcast import model as M
 from driftcast import trainer as T
-from driftcast.data import Dataset, EntityRecord, HorizonConfig, load_dataset
+from driftcast.data import (
+    HOURS_PER_DAY,
+    Dataset,
+    EntityRecord,
+    HorizonConfig,
+    label_cutoff,
+    load_dataset,
+)
 from driftcast.synthgen import GenConfig, generate
 
 HORIZON = HorizonConfig(lookback=24, backward=6, forward=6, label_delay_days=3)
@@ -45,10 +54,27 @@ def params_equal(a, b):
 
 def logs_equal(a, b):
     return (
-        a.days == b.days
-        and a.entity_idx == b.entity_idx
-        and all(np.array_equal(x, y) for x, y in zip(a.preds, b.preds))
+        np.array_equal(a.days, b.days)
+        and np.array_equal(a.entity_idx, b.entity_idx)
+        and np.array_equal(a.preds, b.preds)
     )
+
+
+def write_csv_rowwise(log, path, dataset, horizon, labeled_end):
+    """One line at a time: the reference for ``PredictionLog.write_csv``."""
+    lines = ["day,entity_id,offset,predicted,actual_when_available"]
+    for day, eidx, pred in zip(log.days, log.entity_idx, log.preds):
+        record = dataset.records[eidx]
+        anchor = day * HOURS_PER_DAY
+        for pos, offset in enumerate(range(-horizon.backward, horizon.forward)):
+            hour = anchor + offset
+            actual = ""
+            if hour < labeled_end:
+                actual = repr(float(record.metric[hour]))
+            lines.append(
+                f"{day},{record.entity_id},{offset},{float(pred[pos])!r},{actual}"
+            )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class TestTrainOffline:
@@ -75,7 +101,7 @@ class TestTrainOffline:
         mc = tiny_model_cfg(dataset)
         tc = tiny_train_cfg(offline_epochs=1)
         state = T.train_offline(dataset, mc, tc)
-        labeled_end = (tc.offline_days - tc.label_delay_days) * 24
+        labeled_end = (tc.offline_days - tc.horizon.label_delay_days) * 24
         cands = T.build_candidates(dataset, labeled_end, HORIZON)
         h = HORIZON.horizon
         expected = []
@@ -109,7 +135,7 @@ class TestOnlineStep:
         log_clean, state = T.run_simulation(dataset, mc, tc, n_days)
         # corrupt every metric value inside the delay window of the final day
         final_labeled_end = (
-            (tc.offline_days + n_days - 1 - tc.label_delay_days) * 24
+            (tc.offline_days + n_days - 1 - tc.horizon.label_delay_days) * 24
         )
         tampered_records = []
         for record in dataset.records:
@@ -137,6 +163,48 @@ class TestOnlineStep:
         assert params_equal(state.params, before)
         assert len(log) == 6 * 6  # days x entities
         assert state.examples_consumed == 0
+
+
+class TestPredictionLog:
+    def test_csv_matches_the_rowwise_writer(self, dataset, tmp_path):
+        mc = tiny_model_cfg(dataset)
+        tc = tiny_train_cfg()
+        log, state = T.run_simulation(dataset, mc, tc, n_days=4)
+        # the labeled end falls inside the last day's window
+        inside = (state.current_day - 1) * HOURS_PER_DAY + 2
+        odd = T.PredictionLog()
+        values = [1e16, 1e-05, -0.0, 0.1 + 0.2, 1 / 3, -1e-300, 123456789.0, 2.5,
+                  -7.0, 1e22, 5e-324, -1.0]
+        odd.append_day(12, [0, 5], np.array([values, values[::-1]]))
+        odd.append_day(13, [], np.empty((0, HORIZON.horizon)))
+        odd.append_day(14, [3], np.array([values[6:] + values[:6]]))
+        for case, (lg, labeled_end) in enumerate(
+            [(log, inside), (odd, 12 * HOURS_PER_DAY + 2), (odd, 0), (T.PredictionLog(), 0)]
+        ):
+            fast, slow = tmp_path / f"fast{case}.csv", tmp_path / f"slow{case}.csv"
+            lg.write_csv(fast, dataset, HORIZON, labeled_end)
+            write_csv_rowwise(lg, slow, dataset, HORIZON, labeled_end)
+            assert fast.read_bytes() == slow.read_bytes(), case
+        text = (tmp_path / "fast1.csv").read_text()
+        assert "1e+16" in text and "1e-05" in text and ",-0.0," in text
+
+    def test_append_day_keeps_day_major_arrays(self):
+        log = T.PredictionLog()
+        log.append_day(3, [2, 0], np.arange(8.0).reshape(2, 4))
+        log.append_day(4, [1], np.full((1, 4), -1.0))
+        assert len(log) == 3
+        assert log.days.dtype == log.entity_idx.dtype == np.int64
+        np.testing.assert_array_equal(log.days, [3, 3, 4])
+        np.testing.assert_array_equal(log.entity_idx, [2, 0, 1])
+        np.testing.assert_array_equal(log.preds, [[0, 1, 2, 3], [4, 5, 6, 7], [-1] * 4])
+
+
+class TestLabelCutoff:
+    def test_clamped_to_the_series(self, dataset):
+        hours = dataset.hours
+        assert label_cutoff(10, HORIZON, hours) == 7 * HOURS_PER_DAY
+        assert label_cutoff(2, HORIZON, hours) == 0
+        assert label_cutoff(dataset.days + 5, HORIZON, hours) == hours
 
 
 class TestRunSimulation:
