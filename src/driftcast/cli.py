@@ -16,7 +16,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import evaluation as eval_mod
 
 from .data import DatasetError, HorizonConfig, label_cutoff, load_dataset
 from .model import ModelConfig
-from .profiles import fluss_probability, summed_arc_curve
+from .profiles import curve_from_arc_sum, summed_arc_curve
 from .sampling import NONTEMPORAL_SCHEMES, TEMPORAL_SCHEMES, parse_scheme
 from .synthgen import GenConfig, generate
 from .trainer import (
@@ -48,47 +48,17 @@ class ConfigError(Exception):
     pass
 
 
+def _field_defaults(cls) -> dict:
+    """A config dataclass's field defaults; a nested config is a section of its own."""
+    return {f.name: f.default for f in fields(cls)
+            if f.default is not MISSING and not is_dataclass(f.default)}
+
+
 DEFAULT_CONFIG: dict = {
-    "gen": {
-        "n_entities": 30,
-        "n_clusters": 3,
-        "d": 6,
-        "k": None,
-        "days": 540,
-        "drift_kind": "none",
-        "drift_day": None,
-        "scale_spread": 4.0,
-        "noise_level": 0.1,
-        "outlier_rate": 0.02,
-        "entity_jitter": 0.1,
-        "seed": 0,
-    },
-    "horizon": {
-        "lookback": 168,
-        "backward": 24,
-        "forward": 24,
-        "label_delay_days": 90,
-    },
-    "model": {
-        "variant": "proposed",
-        "embed_dim": 64,
-        "conv_channels": 64,
-        "kernel_width": 3,
-        "n_blocks": 3,
-        "bank_size": 16,
-        "shape_loss_weight": "auto",
-    },
-    "train": {
-        "offline_epochs": 30,
-        "learning_rate": 1e-3,
-        "batch_size": 1024,
-        "n_iter": 100,
-        "seed": 0,
-        "scheme": "uniform:uniform",
-        "offline_days": 365,
-        "error_subsample": 10000,
-        "dynamics_window": 10,
-    },
+    "gen": _field_defaults(GenConfig),
+    "horizon": _field_defaults(HorizonConfig),
+    "model": {"variant": "proposed", **_field_defaults(ModelConfig)},
+    "train": _field_defaults(TrainConfig),
     "benchmark": {
         "variants": ["base", "base_inter", "proposed"],
         "schemes": ["uniform:uniform", "segment:similar"],
@@ -245,7 +215,7 @@ def _cmd_run_online(args, config) -> int:
     dataset = load_dataset(args.data)
     state, model_cfg, train_cfg = load_checkpoint(args.ckpt)
     # The checkpoint's horizon and model are what runs; a given config must agree.
-    model = {k: model_cfg.to_dict()[k] for k in DEFAULT_CONFIG["model"]}
+    model = {k: getattr(model_cfg, k) for k in DEFAULT_CONFIG["model"]}
     if args.config is not None and _horizon_from(config) != train_cfg.horizon:
         raise ConfigError(
             f"config horizon {config['horizon']} disagrees with the checkpoint's "
@@ -275,7 +245,7 @@ def _cmd_run_online(args, config) -> int:
     merged = dict(config)
     merged["horizon"] = asdict(train_cfg.horizon)
     merged["model"] = model
-    merged["train"] = train_cfg.to_dict()
+    merged["train"] = asdict(train_cfg)
     write_manifest(out, "run-online", merged, train_cfg.seed)
     print(f"ran {args.days} online days with scheme {train_cfg.scheme}; "
           f"log at {out / 'predictions.csv'}")
@@ -311,7 +281,7 @@ def _cmd_segment(args, config) -> int:
         raise ConfigError(f"unknown entity {args.entity!r}") from err
     window = args.window
     cac_sum = summed_arc_curve(record.features, window)
-    curve = fluss_probability(record.features, window)
+    curve = curve_from_arc_sum(cac_sum)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["position,cac_sum,p"]

@@ -184,15 +184,10 @@ class Dataset:
 
     records: tuple[EntityRecord, ...]
     meta: dict
-    root: Path | None = None
     _index: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self._index.update({r.entity_id: i for i, r in enumerate(self.records)})
-
-    @property
-    def entity_ids(self) -> list[str]:
-        return [r.entity_id for r in self.records]
 
     @property
     def n_features(self) -> int:
@@ -303,4 +298,4 @@ def load_dataset(root: str | Path) -> Dataset:
         )
     if len({r.hours for r in records}) != 1:
         raise DatasetError(f"{root}: entities disagree on series length")
-    return Dataset(records=tuple(records), meta=meta, root=root)
+    return Dataset(records=tuple(records), meta=meta)

@@ -12,7 +12,7 @@ averages ranks across variants into a grid of temporal by non-temporal rules.
 
 from __future__ import annotations
 
-import csv
+import io
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -87,39 +87,47 @@ def read_predictions(
 ) -> tuple[trainer_mod.PredictionLog, range]:
     """Rebuild a PredictionLog from the CSV, with the offsets its rows cover.
 
-    Every (day, entity) must carry the same contiguous offsets; they are the
-    horizon the predictions were made with: backward = -offsets.start and
-    forward = offsets.stop.  An empty file gives range(0).
+    The file starts with ``trainer.PREDICTION_CSV_HEADER`` and holds one block
+    of rows per (day, entity), each with the same contiguous ascending
+    offsets; they are the horizon the predictions were made with:
+    backward = -offsets.start and forward = offsets.stop.  An empty file
+    gives range(0).
     """
-    rows: dict[tuple[int, str], dict[int, float]] = {}
-    order: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"day", "entity_id", "offset", "predicted", "actual_when_available"}
-        if set(reader.fieldnames or []) != expected:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for rec in reader:
-            key = (int(rec["day"]), rec["entity_id"])
-            if key not in rows:
-                rows[key] = {}
-                order.append(key)
-            rows[key][int(rec["offset"])] = float(rec["predicted"])
-    want = sorted(rows[order[0]]) if order else []
-    for day, entity_id in order:
-        by_offset = rows[(day, entity_id)]
-        if sorted(by_offset) != want:
-            raise ValueError(
-                f"{path}: day {day}, entity {entity_id} has offsets "
-                f"{sorted(by_offset)} where the first has {want}"
-            )
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        body = fh.read()
+    if header != trainer_mod.PREDICTION_CSV_HEADER:
+        raise ValueError(
+            f"{path}: header {header!r}, expected {trainer_mod.PREDICTION_CSV_HEADER!r}"
+        )
     log = trainer_mod.PredictionLog()
-    if order:
-        log.days = np.array([day for day, _ in order], dtype=np.int64)
-        log.entity_idx = np.array([dataset.entity_index(e) for _, e in order], dtype=np.int64)
-        log.preds = np.array([[rows[key][o] for o in want] for key in order])
-    offsets = range(want[0], want[-1] + 1) if want else range(0)
-    if want and (want != list(offsets) or not offsets.start <= 0 < offsets.stop):
-        raise ValueError(f"{path}: offsets {want} are not a window -backward..forward-1")
+    if not body.strip():
+        return log, range(0)
+    rows = np.loadtxt(
+        io.StringIO(body), delimiter=",", comments=None, ndmin=1, usecols=(0, 1, 2, 3),
+        dtype=[("day", "<i8"), ("entity", object), ("offset", "<i8"), ("pred", "<f8")],
+    )
+    days, entities, offs = rows["day"], rows["entity"], rows["offset"]
+    changed = (days[1:] != days[:-1]) | (entities[1:] != entities[:-1])
+    bounds = np.r_[0, np.flatnonzero(changed) + 1, len(rows)]
+    keys = list(zip(days[bounds[:-1]].tolist(), entities[bounds[:-1]].tolist()))
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"{path}: a (day, entity) block appears more than once")
+    lengths = np.diff(bounds)
+    want = offs[: lengths[0]]
+    if (lengths != len(want)).any() or (offs.reshape(-1, len(want)) != want).any():
+        for (day, entity_id), lo, hi in zip(keys, bounds[:-1], bounds[1:]):
+            if not np.array_equal(offs[lo:hi], want):
+                raise ValueError(
+                    f"{path}: day {day}, entity {entity_id} has offsets "
+                    f"{offs[lo:hi].tolist()} where the first has {want.tolist()}"
+                )
+    offsets = range(int(want[0]), int(want[-1]) + 1)
+    if want.tolist() != list(offsets) or not offsets.start <= 0 < offsets.stop:
+        raise ValueError(f"{path}: offsets {want.tolist()} are not a window -backward..forward-1")
+    log.days = days[bounds[:-1]]
+    log.entity_idx = np.array([dataset.entity_index(e) for _, e in keys], dtype=np.int64)
+    log.preds = np.ascontiguousarray(rows["pred"].reshape(-1, len(want)))
     return log, offsets
 
 

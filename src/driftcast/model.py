@@ -16,7 +16,7 @@ Gradients are exact and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,13 +65,6 @@ class ModelConfig:
             raise ValueError("n_blocks must be >= 1")
         if isinstance(self.shape_loss_weight, str) and self.shape_loss_weight != "auto":
             raise ValueError("shape_loss_weight must be a number or 'auto'")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        return cls(**payload)
 
 
 # --------------------------------------------------------------------------
@@ -134,17 +127,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
 # --------------------------------------------------------------------------
 # Forward
 # --------------------------------------------------------------------------
-
-
-def interaction_encode(I: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Sum-to-one normalize the interaction vector, then mix embedding rows."""
-    I = np.asarray(I, dtype=np.float64)
-    if np.any(I < 0):
-        raise ValueError("interaction vector must be non-negative")
-    total = I.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
-        raise DegenerateInteractionError("interaction vector has no positive entries")
-    return (I / total) @ C
 
 
 def _tcn_forward(params, cfg: ModelConfig, X):

@@ -220,13 +220,17 @@ def summed_arc_curve(series: np.ndarray, m: int) -> np.ndarray:
 
 
 def fluss_probability(series: np.ndarray, m: int) -> SamplingCurve:
-    """Sampling probability per subsequence start, favoring the newest regime.
+    """Sampling probability per subsequence start, favoring the newest regime."""
+    return curve_from_arc_sum(summed_arc_curve(series, m))
 
-    Per-channel arc-count curves are summed, the sum is replaced by its
-    suffix minimum (a reverse scan clamping any earlier value down to the
-    smallest value seen after it), and the result is normalized to sum 1.
+
+def curve_from_arc_sum(total: np.ndarray) -> SamplingCurve:
+    """The sampling curve of a ``summed_arc_curve``.
+
+    The sum is replaced by its suffix minimum (a reverse scan clamping any
+    earlier value down to the smallest value seen after it), and the result
+    is normalized to sum 1.
     """
-    total = summed_arc_curve(series, m)
     clamped = np.minimum.accumulate(total[::-1])[::-1]
     s = clamped.sum()
     if s <= 0:

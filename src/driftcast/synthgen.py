@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import HOURS_PER_DAY, Dataset, DatasetError, load_dataset
+from .data import HOURS_PER_DAY, DatasetError
 
 DAILY_PERIOD = 24
 WEEKLY_PERIOD = 168
@@ -283,32 +283,3 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> Path:
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return out
-
-
-def describe(root: str | Path, printer=print) -> dict:
-    """Summarize a dataset directory; raises DatasetError on malformed input."""
-    ds: Dataset = load_dataset(root)
-    drift = ds.meta.get("drift", {"kind": "none"})
-    channel_means = np.mean([r.features.mean(axis=0) for r in ds.records], axis=0)
-    channel_stds = np.mean([r.features.std(axis=0) for r in ds.records], axis=0)
-    metric_mean = float(np.mean([r.metric.mean() for r in ds.records]))
-    summary = {
-        "entities": len(ds.records),
-        "hours": ds.hours,
-        "days": ds.days,
-        "features": ds.n_features,
-        "interaction_dim": ds.interaction_dim,
-        "drift": drift,
-        "channel_means": [float(v) for v in channel_means],
-        "channel_stds": [float(v) for v in channel_stds],
-        "metric_mean": metric_mean,
-    }
-    printer(f"entities: {summary['entities']}")
-    printer(f"span: {summary['days']} days ({summary['hours']} hours)")
-    printer(f"drift: {drift}")
-    for j in range(ds.n_features):
-        printer(
-            f"channel f{j}: mean {channel_means[j]:+.4f} std {channel_stds[j]:.4f}"
-        )
-    printer(f"metric mean: {metric_mean:+.4f}")
-    return summary

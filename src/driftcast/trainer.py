@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -46,7 +47,10 @@ logger = logging.getLogger(__name__)
 LOSS_EVAL_CHUNK = 2048
 
 CKPT_MAGIC = b"DRIFTCAST_CKPT\n"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+CKPT_DTYPES = ("<f8", "<i8", "<i4")
+
+PREDICTION_CSV_HEADER = "day,entity_id,offset,predicted,actual_when_available"
 
 
 class CheckpointVersionError(Exception):
@@ -79,9 +83,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.scheme != "frozen":
             parse_scheme(self.scheme)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
@@ -127,7 +128,7 @@ class PredictionLog:
         """
         offsets = list(range(-horizon.backward, horizon.forward))
         h = len(offsets)
-        lines = ["day,entity_id,offset,predicted,actual_when_available"]
+        lines = [PREDICTION_CSV_HEADER]
         for day, eidx, pred in zip(
             self.days.tolist(), self.entity_idx.tolist(), self.preds.tolist()
         ):
@@ -277,12 +278,23 @@ def _candidate_losses(
 # --------------------------------------------------------------------------
 
 
+def _check_window_geometry(model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig) -> None:
+    """Raise ValueError unless the model's lookback and horizon are the run's."""
+    h = train_cfg.horizon
+    if (model_cfg.lookback, model_cfg.horizon) != (h.lookback, h.horizon):
+        raise ValueError(
+            f"model lookback/horizon {model_cfg.lookback}/{model_cfg.horizon} disagree "
+            f"with the run's horizon {h.lookback}/{h.horizon}"
+        )
+
+
 def train_offline(
     dataset: Dataset,
     model_cfg: model_mod.ModelConfig,
     train_cfg: TrainConfig,
 ) -> SimulationState:
     """Shuffled mini-batch training over the labeled part of the offline span."""
+    _check_window_geometry(model_cfg, train_cfg)
     horizon = train_cfg.horizon
     labeled_end = label_cutoff(train_cfg.offline_days, horizon, dataset.hours)
     cands = build_candidates(dataset, labeled_end, horizon)
@@ -353,6 +365,7 @@ def online_step(
     curve_cache: dict | None = None,
 ) -> DayPrediction:
     """Advance the simulation by one day and emit the day's predictions."""
+    _check_window_geometry(model_cfg, train_cfg)
     if index is None:
         index = DatasetIndex(dataset, train_cfg.horizon)
     horizon = train_cfg.horizon
@@ -487,8 +500,23 @@ def run_simulation(
 # --------------------------------------------------------------------------
 
 
-def _pack_array(arr: np.ndarray, dtype: str) -> bytes:
-    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
+def _state_arrays(state: SimulationState) -> list[tuple[str, np.ndarray]]:
+    """Every array of the state under its checkpoint key, in file order."""
+    names = list(state.params)
+    arrays = [(f"params/{n}", state.params[n]) for n in names]
+    arrays += [(f"adam_m/{n}", state.adam[n].first_moment) for n in names]
+    arrays += [(f"adam_v/{n}", state.adam[n].second_moment) for n in names]
+    if state.cache is not None:
+        arrays += [("cache/entity_idx", state.cache.candidates.entity_idx),
+                   ("cache/anchors", state.cache.candidates.anchors),
+                   ("cache/errors", state.cache.errors)]
+    if state.dynamics is not None:
+        arrays += [("dynamics/snapshots", state.dynamics.snapshots),
+                   ("dynamics/counts", state.dynamics.counts)]
+    arrays += [(f"curves/{e}", state.curves[e]) for e in sorted(state.curves)]
+    arrays += [("log/days", state.log.days), ("log/entity_idx", state.log.entity_idx),
+               ("log/preds", state.log.preds)]
+    return [(key, np.ascontiguousarray(a)) for key, a in arrays]
 
 
 def save_checkpoint(
@@ -497,167 +525,126 @@ def save_checkpoint(
     model_cfg: model_mod.ModelConfig,
     train_cfg: TrainConfig,
 ) -> None:
-    """Serialize the full simulation state; the round trip is bitwise exact."""
-    params = state.params
+    """Serialize the full simulation state; the round trip is bitwise exact.
+
+    The JSON header's ``arrays`` table lists ``[key, dtype, shape]`` for every
+    state array in file order; the raw array bytes follow the header.
+    """
+    arrays = _state_arrays(state)
     header = {
-        "model_config": model_cfg.to_dict(),
-        "train_config": train_cfg.to_dict(),
+        "model_config": asdict(model_cfg),
+        "train_config": asdict(train_cfg),
         "current_day": state.current_day,
         "gamma": state.gamma,
         "examples_consumed": state.examples_consumed,
         "final_train_loss": state.final_train_loss,
-        "params": [[name, list(p.shape)] for name, p in params.items()],
         "adam_steps": {name: s.step_count for name, s in state.adam.items()},
         "rng_batches": state.rng_batches.bit_generator.state,
         "rng_subsample": state.rng_subsample.bit_generator.state,
         "cache": None
         if state.cache is None
-        else {
-            "n": len(state.cache.candidates),
-            "anchor_cutoff": state.cache.anchor_cutoff,
-            "day": state.cache.day,
-        },
-        "dynamics": None
-        if state.dynamics is None
-        else {"capacity": state.dynamics.capacity, "n": len(state.dynamics.counts)},
-        "curves": sorted((int(e), len(c)) for e, c in state.curves.items()),
-        "log_rows": len(state.log),
-        "horizon_len": train_cfg.horizon.horizon,
+        else {"anchor_cutoff": state.cache.anchor_cutoff, "day": state.cache.day},
+        "arrays": [[key, a.dtype.str, list(a.shape)] for key, a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += CKPT_MAGIC
-    blob += int(CKPT_VERSION).to_bytes(4, "little")
-    blob += len(header_bytes).to_bytes(8, "little")
-    blob += header_bytes
-    for name in params:
-        blob += _pack_array(params[name], "<f8")
-    for name in params:
-        blob += _pack_array(state.adam[name].first_moment, "<f8")
-    for name in params:
-        blob += _pack_array(state.adam[name].second_moment, "<f8")
-    if state.cache is not None:
-        blob += _pack_array(state.cache.candidates.entity_idx, "<i8")
-        blob += _pack_array(state.cache.candidates.anchors, "<i8")
-        blob += _pack_array(state.cache.errors, "<f8")
-    if state.dynamics is not None:
-        blob += _pack_array(state.dynamics.snapshots, "<f8")
-        blob += _pack_array(state.dynamics.counts, "<i8")
-    for eidx, _ in header["curves"]:
-        blob += _pack_array(state.curves[eidx], "<f8")
-    if len(state.log):
-        blob += _pack_array(state.log.days, "<i8")
-        blob += _pack_array(state.log.entity_idx, "<i8")
-        blob += _pack_array(state.log.preds, "<f8")
-    blob += hashlib.sha256(bytes(blob)).digest()
-    Path(path).write_bytes(bytes(blob))
-
-
-class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def read(self, nbytes: int) -> bytes:
-        if self.pos + nbytes > len(self.buf):
-            raise CheckpointIntegrityError("checkpoint is truncated")
-        out = self.buf[self.pos : self.pos + nbytes]
-        self.pos += nbytes
-        return out
-
-    def read_array(self, count: int, dtype: str) -> np.ndarray:
-        raw = self.read(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
+    body = b"".join([
+        CKPT_MAGIC, CKPT_VERSION.to_bytes(4, "little"),
+        len(header_bytes).to_bytes(8, "little"), header_bytes, *(a for _, a in arrays),
+    ])
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path: str | Path):
     """Load a checkpoint; returns (state, model_config, train_config)."""
     raw = Path(path).read_bytes()
-    if len(raw) < len(CKPT_MAGIC) + 12 + 32:
+    start = len(CKPT_MAGIC) + 12
+    if len(raw) < start + 32:
         raise CheckpointIntegrityError(f"{path}: file too short to be a checkpoint")
     if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise CheckpointVersionError(f"{path}: not a checkpoint file")
-    body, digest = raw[:-32], raw[-32:]
+    body, digest = memoryview(raw)[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointIntegrityError(f"{path}: checksum mismatch")
-    cur = _Cursor(body)
-    cur.read(len(CKPT_MAGIC))
-    version = int.from_bytes(cur.read(4), "little")
+    version = int.from_bytes(body[len(CKPT_MAGIC) : start - 8], "little")
     if version != CKPT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version}, expected {CKPT_VERSION}"
         )
-    header_len = int.from_bytes(cur.read(8), "little")
+    pos = start + int.from_bytes(body[start - 8 : start], "little")
+    if pos > len(body):
+        raise CheckpointIntegrityError(f"{path}: checkpoint is truncated")
     try:
-        header = json.loads(cur.read(header_len).decode("utf-8"))
-    except json.JSONDecodeError as err:
+        header = json.loads(bytes(body[start:pos]))
+    except ValueError as err:
         raise CheckpointIntegrityError(f"{path}: bad header: {err}") from err
 
-    model_cfg = model_mod.ModelConfig.from_dict(header["model_config"])
-    train_cfg = TrainConfig.from_dict(header["train_config"])
-    def read_params() -> dict[str, np.ndarray]:
-        return {
-            name: cur.read_array(int(np.prod(shape)), "<f8").reshape(shape)
-            for name, shape in header["params"]
+    try:
+        arrays = {}
+        for key, dtype, shape in header["arrays"]:
+            if dtype not in CKPT_DTYPES or not all(isinstance(d, int) and d >= 0 for d in shape):
+                raise CheckpointIntegrityError(f"{path}: bad table entry {key!r}")
+            count = math.prod(shape)
+            end = pos + count * np.dtype(dtype).itemsize
+            if end > len(body):
+                raise CheckpointIntegrityError(f"{path}: checkpoint is truncated")
+            arrays[key] = np.frombuffer(body, dtype, count, pos).reshape(shape).copy()
+            pos = end
+        if pos != len(body):
+            raise CheckpointIntegrityError(f"{path}: trailing bytes in checkpoint")
+
+        def section(name: str) -> dict[str, np.ndarray]:
+            return {k.partition("/")[2]: a for k, a in arrays.items() if k.startswith(name + "/")}
+
+        model_cfg = model_mod.ModelConfig(**header["model_config"])
+        train_cfg = TrainConfig.from_dict(header["train_config"])
+        params, moments_m, moments_v = section("params"), section("adam_m"), section("adam_v")
+        adam = {
+            name: AdamState(
+                first_moment=moments_m[name],
+                second_moment=moments_v[name],
+                step_count=int(header["adam_steps"][name]),
+                learning_rate=train_cfg.learning_rate,
+            )
+            for name in params
         }
-
-    params, moments_m, moments_v = read_params(), read_params(), read_params()
-    adam = {
-        name: AdamState(
-            first_moment=moments_m[name],
-            second_moment=moments_v[name],
-            step_count=int(header["adam_steps"][name]),
-            learning_rate=train_cfg.learning_rate,
+        cache = dynamics = None
+        if header["cache"] is not None:
+            cache = sampling.ErrorCache(
+                candidates=CandidateArray(arrays["cache/entity_idx"], arrays["cache/anchors"]),
+                errors=arrays["cache/errors"],
+                anchor_cutoff=int(header["cache"]["anchor_cutoff"]),
+                day=int(header["cache"]["day"]),
+            )
+        if "dynamics/snapshots" in arrays:
+            snapshots = arrays["dynamics/snapshots"]
+            dynamics = sampling.DynamicsHistory(
+                capacity=snapshots.shape[1], snapshots=snapshots,
+                counts=arrays["dynamics/counts"],
+            )
+        log = PredictionLog()
+        log.days, log.entity_idx, log.preds = (
+            arrays["log/days"], arrays["log/entity_idx"], arrays["log/preds"]
         )
-        for name in params
-    }
-    cache = None
-    if header["cache"] is not None:
-        n = header["cache"]["n"]
-        cache = sampling.ErrorCache(
-            candidates=CandidateArray(
-                cur.read_array(n, "<i8").astype(np.int32), cur.read_array(n, "<i8")
-            ),
-            errors=cur.read_array(n, "<f8"),
-            anchor_cutoff=int(header["cache"]["anchor_cutoff"]),
-            day=int(header["cache"]["day"]),
+        rng_batches = np.random.default_rng(0)
+        rng_batches.bit_generator.state = header["rng_batches"]
+        rng_subsample = np.random.default_rng(0)
+        rng_subsample.bit_generator.state = header["rng_subsample"]
+        state = SimulationState(
+            current_day=int(header["current_day"]),
+            params=params,
+            adam=adam,
+            gamma=float(header["gamma"]),
+            rng_batches=rng_batches,
+            rng_subsample=rng_subsample,
+            cache=cache,
+            dynamics=dynamics,
+            curves={int(e): c for e, c in section("curves").items()},
+            log=log,
+            examples_consumed=int(header["examples_consumed"]),
+            final_train_loss=header["final_train_loss"],
         )
-    dynamics = None
-    if header["dynamics"] is not None:
-        n, cap = header["dynamics"]["n"], header["dynamics"]["capacity"]
-        dynamics = sampling.DynamicsHistory(
-            capacity=cap,
-            snapshots=cur.read_array(n * cap, "<f8").reshape(n, cap),
-            counts=cur.read_array(n, "<i8"),
-        )
-    curves = {}
-    for eidx, length in header["curves"]:
-        curves[int(eidx)] = cur.read_array(int(length), "<f8")
-    log = PredictionLog()
-    if header["log_rows"]:
-        rows, h = header["log_rows"], header["horizon_len"]
-        log.days = cur.read_array(rows, "<i8")
-        log.entity_idx = cur.read_array(rows, "<i8")
-        log.preds = cur.read_array(rows * h, "<f8").reshape(rows, h)
-    if cur.pos != len(body):
-        raise CheckpointIntegrityError(f"{path}: trailing bytes in checkpoint")
-
-    rng_batches = np.random.default_rng(0)
-    rng_batches.bit_generator.state = header["rng_batches"]
-    rng_subsample = np.random.default_rng(0)
-    rng_subsample.bit_generator.state = header["rng_subsample"]
-    state = SimulationState(
-        current_day=int(header["current_day"]),
-        params=params,
-        adam=adam,
-        gamma=float(header["gamma"]),
-        rng_batches=rng_batches,
-        rng_subsample=rng_subsample,
-        cache=cache,
-        dynamics=dynamics,
-        curves=curves,
-        log=log,
-        examples_consumed=int(header["examples_consumed"]),
-        final_train_loss=header["final_train_loss"],
-    )
+    except (KeyError, TypeError) as err:
+        raise CheckpointIntegrityError(f"{path}: header lacks or mistypes {err}") from err
     return state, model_cfg, train_cfg

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from driftcast import profiles
 from driftcast.cli import DEFAULT_CONFIG, load_config, run_cli, ConfigError
 
 TINY_CONFIG = {
@@ -115,11 +116,17 @@ class TestPipeline:
         assert set(metrics) >= {"rmse", "nrmse", "r2"}
         assert metrics["rmse"] >= 0
 
-    def test_segment_writes_curve(self, workspace):
+    def test_segment_writes_curve(self, workspace, monkeypatch):
         data = str(workspace / "data")
         out = workspace / "curve.csv"
+        calls = []
+        mpi = profiles.matrix_profile_index
+        monkeypatch.setattr(profiles, "matrix_profile_index",
+                            lambda *a, **k: calls.append(1) or mpi(*a, **k))
         assert run_cli(["segment", "--data", data, "--entity", "e000",
                         "--out", str(out), "--window", "24"]) == 0
+        # one matrix profile per feature channel
+        assert len(calls) == TINY_CONFIG["gen"]["d"]
         lines = out.read_text().splitlines()
         assert lines[0] == "position,cac_sum,p"
         probs = [float(line.split(",")[2]) for line in lines[1:]]

@@ -24,42 +24,65 @@ def random_batch(cfg, b=2, seed=0):
     return X, I, Y
 
 
+BATCH_SIZES = (1, 3)
+
+
+def interaction_rows(C, vec, b, seed=0):
+    """``batch_forward``'s cached (i_norm, h_i) for ``vec`` as row b-1 of a batch of b.
+
+    The other rows are random positive interaction vectors.
+    """
+    cfg = small_config(interaction_dim=C.shape[0], embed_dim=C.shape[1])
+    rng = np.random.default_rng(seed)
+    params = M.init_params(cfg, rng)
+    params["embed.C"] = C
+    I = np.abs(rng.normal(size=(b, cfg.interaction_dim))) + 0.1
+    I[b - 1] = vec
+    X = rng.normal(size=(b, cfg.lookback, cfg.n_features))
+    cache = M.batch_forward(params, cfg, X, I)[1]
+    np.testing.assert_allclose(cache["i_norm"], I / I.sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(cache["h_i"], cache["i_norm"] @ C)
+    return cache["i_norm"][b - 1], cache["h_i"][b - 1]
+
+
 class TestInteractionEncode:
     def test_one_hot_selects_row(self):
         rng = np.random.default_rng(0)
         C = rng.normal(size=(5, 8))
         one_hot = np.zeros(5)
         one_hot[3] = 7.0
-        np.testing.assert_allclose(M.interaction_encode(one_hot, C), C[3])
+        for b in BATCH_SIZES:
+            np.testing.assert_allclose(interaction_rows(C, one_hot, b)[1], C[3])
 
     def test_sum_to_one_normalization(self):
         C = np.eye(4)
-        out = M.interaction_encode(np.array([2.0, 6.0, 0.0, 0.0]), C)
-        np.testing.assert_allclose(out, [0.25, 0.75, 0.0, 0.0])
+        for b in BATCH_SIZES:
+            i_norm, h_i = interaction_rows(C, np.array([2.0, 6.0, 0.0, 0.0]), b)
+            np.testing.assert_allclose(i_norm, [0.25, 0.75, 0.0, 0.0])
+            np.testing.assert_allclose(h_i, [0.25, 0.75, 0.0, 0.0])
 
     def test_two_entity_average(self):
         rng = np.random.default_rng(1)
         C = rng.normal(size=(6, 4))
         vec = np.zeros(6)
         vec[1] = vec[4] = 3.0
-        np.testing.assert_allclose(
-            M.interaction_encode(vec, C), (C[1] + C[4]) / 2
-        )
+        for b in BATCH_SIZES:
+            np.testing.assert_allclose(interaction_rows(C, vec, b)[1], (C[1] + C[4]) / 2)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         C = rng.normal(size=(5, 3))
         vec = np.abs(rng.normal(size=5))
-        a = M.interaction_encode(vec, C)
-        b = M.interaction_encode(123.0 * vec, C)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        for b in BATCH_SIZES:
+            a = interaction_rows(C, vec, b)[1]
+            np.testing.assert_allclose(interaction_rows(C, 123.0 * vec, b)[1], a, atol=1e-12)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(M.DegenerateInteractionError):
-            M.interaction_encode(np.zeros(4), np.eye(4))
-
-
-BATCH_SIZES = (1, 3)
+        for vec in (np.zeros(4), np.array([-1.0, 2.0, 0.0, 0.0])):
+            for b in BATCH_SIZES:
+                with pytest.raises(M.DegenerateInteractionError):
+                    interaction_rows(np.eye(4), vec, b)
+        assert issubclass(M.DegenerateInteractionError, ValueError)
 
 
 def h_t_of(params, cfg, X, I):

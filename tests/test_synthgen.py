@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftcast.data import DatasetError, load_dataset
-from driftcast.synthgen import GenConfig, describe, generate
+from driftcast.synthgen import GenConfig, generate
 
 
 def dir_digest(root: Path) -> str:
@@ -61,11 +61,12 @@ class TestGenerate:
     def test_interaction_mass_concentrates_within_cluster(self, small_dataset):
         ds = small_dataset
         clusters = ds.meta["clusters"]
+        ids = [r.entity_id for r in ds.records]
         for record in ds.records:
             mine = clusters[record.entity_id]
             mean_row = record.interactions.mean(axis=0)
-            same = [i for i, e in enumerate(ds.entity_ids) if clusters[e] == mine]
-            cross = [i for i, e in enumerate(ds.entity_ids) if clusters[e] != mine]
+            same = [i for i, e in enumerate(ids) if clusters[e] == mine]
+            cross = [i for i, e in enumerate(ids) if clusters[e] != mine]
             assert np.all(record.interactions >= 0)
             assert mean_row[same].sum() >= 3.0 * mean_row[cross].sum()
 
@@ -147,24 +148,27 @@ class TestClusterOracle:
 
 
 class TestDescribe:
-    def test_summary_matches_recomputation(self, small_dataset, tmp_path):
+    """A generated directory as ``load_dataset`` reads it back."""
+
+    def test_summary_matches_recomputation(self, tmp_path):
         root = tmp_path / "ds"
         generate(GenConfig(**SMALL), root)
-        lines = []
-        summary = describe(root, printer=lines.append)
         ds = load_dataset(root)
-        assert summary["entities"] == SMALL["n_entities"]
-        assert summary["days"] == SMALL["days"]
-        expected_means = np.mean([r.features.mean(axis=0) for r in ds.records], axis=0)
-        np.testing.assert_allclose(summary["channel_means"], expected_means)
-        assert any("entities: 8" in line for line in lines)
+        assert len(ds.records) == SMALL["n_entities"]
+        assert ds.days == SMALL["days"] and ds.n_features == SMALL["d"]
+        assert ds.interaction_dim == SMALL["n_entities"]
+        assert [r.entity_id for r in ds.records] == json.loads(
+            (root / "meta.json").read_text())["entities"]
+        body = np.loadtxt(root / "entity_e000.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(ds.records[0].features, body[:, 1:-1])
+        np.testing.assert_array_equal(ds.records[0].metric, body[:, -1])
 
     def test_missing_interactions_named(self, tmp_path):
         root = tmp_path / "ds"
         generate(GenConfig(n_entities=3, n_clusters=1, d=2, days=40, seed=0), root)
         (root / "interactions.csv").unlink()
         with pytest.raises(DatasetError, match="interactions.csv"):
-            describe(root)
+            load_dataset(root)
 
     def test_malformed_entity_file_has_location(self, tmp_path):
         root = tmp_path / "ds"
@@ -174,4 +178,4 @@ class TestDescribe:
         lines[5] = "not,a,valid,row"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="entity_e001.csv"):
-            describe(root)
+            load_dataset(root)

@@ -1,8 +1,12 @@
+import hashlib
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from driftcast import evaluation as E
 from driftcast import model as M
 from driftcast import trainer as T
 from driftcast.data import (
@@ -58,6 +62,40 @@ def logs_equal(a, b):
         and np.array_equal(a.entity_idx, b.entity_idx)
         and np.array_equal(a.preds, b.preds)
     )
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_states_equal(a, b):
+    """Every field of two simulation states is equal, arrays bitwise with their dtypes."""
+    for name in ("current_day", "gamma", "examples_consumed", "final_train_loss"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert list(a.params) == list(b.params) == list(b.adam)
+    for name, p in a.params.items():
+        assert same_array(p, b.params[name]), name
+        sa, sb = a.adam[name], b.adam[name]
+        assert same_array(sa.first_moment, sb.first_moment), name
+        assert same_array(sa.second_moment, sb.second_moment), name
+        assert (sa.step_count, sa.learning_rate) == (sb.step_count, sb.learning_rate), name
+    for rng in ("rng_batches", "rng_subsample"):
+        assert getattr(a, rng).bit_generator.state == getattr(b, rng).bit_generator.state
+    assert (a.cache is None) == (b.cache is None)
+    if a.cache is not None:
+        assert same_array(a.cache.candidates.entity_idx, b.cache.candidates.entity_idx)
+        assert same_array(a.cache.candidates.anchors, b.cache.candidates.anchors)
+        assert same_array(a.cache.errors, b.cache.errors)
+        assert (a.cache.anchor_cutoff, a.cache.day) == (b.cache.anchor_cutoff, b.cache.day)
+    assert (a.dynamics is None) == (b.dynamics is None)
+    if a.dynamics is not None:
+        assert a.dynamics.capacity == b.dynamics.capacity
+        assert same_array(a.dynamics.snapshots, b.dynamics.snapshots)
+        assert same_array(a.dynamics.counts, b.dynamics.counts)
+    assert sorted(a.curves) == sorted(b.curves)
+    assert all(same_array(c, b.curves[e]) for e, c in a.curves.items())
+    for name in ("days", "entity_idx", "preds"):
+        assert same_array(getattr(a.log, name), getattr(b.log, name)), name
 
 
 def write_csv_rowwise(log, path, dataset, horizon, labeled_end):
@@ -165,6 +203,22 @@ class TestOnlineStep:
         assert state.examples_consumed == 0
 
 
+class TestWindowGeometry:
+    @pytest.mark.parametrize("field, value", [("lookback", 500), ("horizon", 13)])
+    def test_model_unlike_the_run_is_rejected(self, dataset, field, value):
+        tc = tiny_train_cfg()
+        good = tiny_model_cfg(dataset)
+        bad = replace(good, **{field: value})
+        with pytest.raises(ValueError, match="disagree"):
+            T.train_offline(dataset, bad, tc)
+        state = T.train_offline(dataset, good, tc)
+        params = {k: v.copy() for k, v in state.params.items()}
+        with pytest.raises(ValueError, match="disagree"):
+            T.online_step(state, dataset, bad, tc)
+        assert state.current_day == tc.offline_days and len(state.log) == 0
+        assert params_equal(state.params, params)
+
+
 class TestPredictionLog:
     def test_csv_matches_the_rowwise_writer(self, dataset, tmp_path):
         mc = tiny_model_cfg(dataset)
@@ -187,6 +241,57 @@ class TestPredictionLog:
             assert fast.read_bytes() == slow.read_bytes(), case
         text = (tmp_path / "fast1.csv").read_text()
         assert "1e+16" in text and "1e-05" in text and ",-0.0," in text
+
+    def test_csv_read_back_is_bitwise(self, dataset, tmp_path):
+        _, state = T.run_simulation(dataset, tiny_model_cfg(dataset), tiny_train_cfg(), n_days=4)
+        odd = T.PredictionLog()
+        values = [1e16, 1e-05, -0.0, 0.1 + 0.2, 1 / 3, -1e-300, 123456789.0, 2.5,
+                  -7.0, 1e22, 5e-324, -1.0]
+        odd.append_day(12, [0, 5], np.array([values, values[::-1]]))
+        odd.append_day(14, [3], np.array([values[6:] + values[:6]]))
+        for log in (state.log, odd, T.PredictionLog()):
+            path = tmp_path / "pred.csv"
+            log.write_csv(path, dataset, HORIZON, 10 * HOURS_PER_DAY)
+            back, offsets = E.read_predictions(path, dataset)
+            assert offsets == (range(-HORIZON.backward, HORIZON.forward) if len(log) else range(0))
+            for name in ("days", "entity_idx", "preds"):
+                assert same_array(getattr(back, name), getattr(log, name)), name
+
+    def test_malformed_csv_rejected(self, dataset, tmp_path):
+        path = tmp_path / "pred.csv"
+        _, state = T.run_simulation(dataset, tiny_model_cfg(dataset), tiny_train_cfg(), n_days=2)
+        state.log.write_csv(path, dataset, HORIZON, 0)
+        header, *rows = path.read_text().splitlines()
+        h = HORIZON.horizon
+        first, second, third = rows[:h], rows[h : 2 * h], rows[2 * h : 3 * h]
+
+        def field(row, col, value):
+            parts = row.split(",")
+            parts[col] = value
+            return ",".join(parts)
+
+        shifted = [field(r, 2, str(int(r.split(",")[2]) + h)) for r in rows]
+        cases = [
+            ("offset,day,entity_id,predicted,actual_when_available", rows, "header"),
+            (header, [field(rows[0], 0, "1.5")] + rows[1:], "1.5"),
+            (header, [field(rows[0], 2, "-5.5")] + rows[1:], "-5.5"),
+            (header, [field(rows[3], 3, "x")] + rows, "'x'"),
+            (header, rows[1:], "offsets"),
+            # ragged blocks whose offsets still tile rows of h
+            (header, first + second[: h // 2] + third[h // 2 :] + third, "offsets"),
+            (header, rows + first, "more than once"),
+            (header, [r for pair in zip(first, second) for r in pair], "more than once"),
+            (header, first[::-1] + second[::-1], "not a window"),
+            (header, shifted, "not a window"),
+            (header, [r for r in rows if r.split(",")[2] != "2"], "not a window"),
+        ]
+        for head, body, message in cases:
+            path.write_text("\n".join([head] + body) + "\n")
+            with pytest.raises(ValueError, match=message):
+                E.read_predictions(path, dataset)
+        path.write_text("\n".join([header] + [r.replace(",e000,", ",zz,") for r in rows]) + "\n")
+        with pytest.raises(KeyError, match="zz"):
+            E.read_predictions(path, dataset)
 
     def test_append_day_keeps_day_major_arrays(self):
         log = T.PredictionLog()
@@ -234,29 +339,31 @@ class TestRunSimulation:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, dataset, tmp_path):
         mc = tiny_model_cfg(dataset)
-        tc = tiny_train_cfg(scheme="uniform:low_error")
+        tc = tiny_train_cfg(scheme="segment:low_error")
         _, state = T.run_simulation(dataset, mc, tc, n_days=3)
+        assert state.curves and state.cache is not None and state.dynamics is not None
+        assert len(state.log) and state.cache.candidates.entity_idx.dtype == np.int32
         path = tmp_path / "state.bin"
         T.save_checkpoint(state, path, mc, tc)
         loaded, mc2, tc2 = T.load_checkpoint(path)
         assert mc2 == mc and tc2 == tc
-        assert params_equal(state.params, loaded.params)
-        for name in state.adam:
-            assert np.array_equal(
-                state.adam[name].first_moment, loaded.adam[name].first_moment
-            )
-            assert np.array_equal(
-                state.adam[name].second_moment, loaded.adam[name].second_moment
-            )
-            assert state.adam[name].step_count == loaded.adam[name].step_count
-        assert loaded.rng_batches.bit_generator.state == state.rng_batches.bit_generator.state
-        assert np.array_equal(loaded.cache.errors, state.cache.errors)
-        assert np.array_equal(loaded.dynamics.snapshots, state.dynamics.snapshots)
-        assert logs_equal(loaded.log, state.log)
+        assert_states_equal(state, loaded)
         # a second save of the loaded state is byte-identical
         path2 = tmp_path / "state2.bin"
         T.save_checkpoint(loaded, path2, mc2, tc2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_offline_state_round_trip(self, dataset, tmp_path):
+        mc = tiny_model_cfg(dataset)
+        tc = tiny_train_cfg()
+        state = T.train_offline(dataset, mc, tc)
+        assert state.cache is None and state.dynamics is None and len(state.log) == 0
+        path = tmp_path / "offline.bin"
+        T.save_checkpoint(state, path, mc, tc)
+        loaded, _, _ = T.load_checkpoint(path)
+        assert_states_equal(state, loaded)
+        T.save_checkpoint(loaded, tmp_path / "again.bin", mc, tc)
+        assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
 
     def test_resume_equals_uninterrupted(self, dataset, tmp_path):
         mc = tiny_model_cfg(dataset)
@@ -303,18 +410,53 @@ class TestCheckpoint:
             T.load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, dataset, tmp_path):
-        import hashlib
-
         mc = tiny_model_cfg(dataset)
         tc = tiny_train_cfg()
         state = T.train_offline(dataset, mc, tc)
         path = tmp_path / "ok.bin"
         T.save_checkpoint(state, path, mc, tc)
-        raw = bytearray(path.read_bytes()[:-32])
-        off = len(T.CKPT_MAGIC)
-        raw[off : off + 4] = (99).to_bytes(4, "little")
-        raw += hashlib.sha256(bytes(raw)).digest()
-        bumped = tmp_path / "v99.bin"
-        bumped.write_bytes(bytes(raw))
-        with pytest.raises(T.CheckpointVersionError, match="version 99"):
-            T.load_checkpoint(bumped)
+        for version in (1, 99):
+            raw = bytearray(path.read_bytes()[:-32])
+            off = len(T.CKPT_MAGIC)
+            raw[off : off + 4] = version.to_bytes(4, "little")
+            raw += hashlib.sha256(bytes(raw)).digest()
+            bumped = tmp_path / f"v{version}.bin"
+            bumped.write_bytes(bytes(raw))
+            with pytest.raises(T.CheckpointVersionError, match=f"version {version},"):
+                T.load_checkpoint(bumped)
+
+    def test_malformed_table_rejected(self, dataset, tmp_path):
+        mc = tiny_model_cfg(dataset)
+        tc = tiny_train_cfg()
+        state = T.train_offline(dataset, mc, tc)
+        path = tmp_path / "ok.bin"
+        T.save_checkpoint(state, path, mc, tc)
+        raw = path.read_bytes()[:-32]
+        start = len(T.CKPT_MAGIC) + 12
+        end = start + int.from_bytes(raw[start - 8 : start], "little")
+        header, arrays = json.loads(raw[start:end]), raw[end:]
+
+        def resealed(head, data=arrays):
+            head = json.dumps(head).encode()
+            body = raw[: start - 8] + len(head).to_bytes(8, "little") + head + data
+            bad = tmp_path / "bad.bin"
+            bad.write_bytes(body + hashlib.sha256(body).digest())
+            return bad
+
+        table = header["arrays"]
+        last_key, _, last_shape = table[-1]
+        assert last_key == "log/preds" and last_shape == [0, 0]
+        first_key, first_dtype, first_shape = table[0]
+        without_gamma = {k: v for k, v in header.items() if k != "gamma"}
+        for bad_table, data, message in [
+            ([[first_key, "|O", first_shape]] + table[1:], arrays, "bad table entry"),
+            ([[first_key, first_dtype, [-1]]] + table[1:], arrays, "bad table entry"),
+            (table[:-1] + [[last_key, "<f8", [10**6]]], arrays, "truncated"),
+            (table, arrays + b"\0" * 8, "trailing bytes"),
+            (table[:-1], arrays, "'log/preds'"),
+            ([[first_key, first_dtype, 3]] + table[1:], arrays, "mistypes"),
+        ]:
+            with pytest.raises(T.CheckpointIntegrityError, match=message):
+                T.load_checkpoint(resealed(dict(header, arrays=bad_table), data))
+        with pytest.raises(T.CheckpointIntegrityError, match="'gamma'"):
+            T.load_checkpoint(resealed(without_gamma))
