@@ -245,7 +245,7 @@ def _cmd_run_online(args, config) -> int:
     merged = dict(config)
     merged["horizon"] = asdict(train_cfg.horizon)
     merged["model"] = model
-    merged["train"] = asdict(train_cfg)
+    merged["train"] = {k: v for k, v in asdict(train_cfg).items() if k != "horizon"}
     write_manifest(out, "run-online", merged, train_cfg.seed)
     print(f"ran {args.days} online days with scheme {train_cfg.scheme}; "
           f"log at {out / 'predictions.csv'}")

@@ -90,8 +90,8 @@ def read_predictions(
     The file starts with ``trainer.PREDICTION_CSV_HEADER`` and holds one block
     of rows per (day, entity), each with the same contiguous ascending
     offsets; they are the horizon the predictions were made with:
-    backward = -offsets.start and forward = offsets.stop.  An empty file
-    gives range(0).
+    backward = -offsets.start and forward = offsets.stop.  Every row has
+    the header's 5 fields.  An empty file gives range(0).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -103,9 +103,12 @@ def read_predictions(
     log = trainer_mod.PredictionLog()
     if not body.strip():
         return log, range(0)
+    # Without usecols, np.loadtxt rejects a row whose field count is not the
+    # dtype's 5; only the first character of an actual value is kept.
     rows = np.loadtxt(
-        io.StringIO(body), delimiter=",", comments=None, ndmin=1, usecols=(0, 1, 2, 3),
-        dtype=[("day", "<i8"), ("entity", object), ("offset", "<i8"), ("pred", "<f8")],
+        io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+        dtype=[("day", "<i8"), ("entity", object), ("offset", "<i8"), ("pred", "<f8"),
+               ("actual", "U1")],
     )
     days, entities, offs = rows["day"], rows["entity"], rows["offset"]
     changed = (days[1:] != days[:-1]) | (entities[1:] != entities[:-1])
@@ -225,15 +228,13 @@ def benchmark(
     """Run every (variant, scheme) pair with a shared seed and rank schemes.
 
     Offline training is reused across schemes of the same variant (the
-    offline phase is deterministic and scheme-independent), and segmentation
-    curves are shared across runs through a cache; both reuse paths are
+    offline phase is deterministic and scheme-independent); the reuse is
     bitwise-identical to standalone runs.
     """
     if len(variants) < 2 or len(schemes) < 2:
         raise ValueError("benchmark needs at least 2 variants and 2 schemes")
     model_kwargs = model_kwargs or {}
     horizon = train_cfg.horizon
-    curve_cache: dict = {}
     rows = []
     metrics_by_variant: dict[str, dict[str, MetricReport]] = {}
     for variant in variants:
@@ -251,8 +252,7 @@ def benchmark(
             cfg = replace(train_cfg, scheme=scheme)
             try:
                 log, _ = trainer_mod.run_simulation(
-                    dataset, model_cfg, cfg, n_days,
-                    offline_state=offline, curve_cache=curve_cache,
+                    dataset, model_cfg, cfg, n_days, offline_state=offline
                 )
             except Exception as err:
                 raise RuntimeError(

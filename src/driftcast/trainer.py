@@ -13,8 +13,9 @@ day-major arrays.  Predictions are a pure function of features dated up to
 the anchor and labels dated before the delay cutoff.
 
 Checkpoints serialize parameters, optimizer moments, RNG states, sampling
-caches and the prediction log; resuming from a checkpoint reproduces an
-uninterrupted run bit for bit.
+caches, the segmentation neighbour index and the prediction log; the
+segmentation curves are derived again from the index on load.  Resuming from
+a checkpoint reproduces an uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .data import (
     label_cutoff,
 )
 from .nnkernel import AdamState, adam_step
-from .profiles import fluss_probability
+from .profiles import fluss_probability, sampling_curve
 from .sampling import CandidateArray, SchemeSpec, parse_scheme
 
 logger = logging.getLogger(__name__)
@@ -47,7 +48,7 @@ logger = logging.getLogger(__name__)
 LOSS_EVAL_CHUNK = 2048
 
 CKPT_MAGIC = b"DRIFTCAST_CKPT\n"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 CKPT_DTYPES = ("<f8", "<i8", "<i4")
 
 PREDICTION_CSV_HEADER = "day,entity_id,offset,predicted,actual_when_available"
@@ -161,6 +162,9 @@ class SimulationState:
     cache: sampling.ErrorCache | None = None
     dynamics: sampling.DynamicsHistory | None = None
     curves: dict[int, np.ndarray] = field(default_factory=dict)
+    # (entities, channels, L) int32 neighbour index behind ``curves``; a row
+    # of -1 is a channel skipped as constant.  Each segment day extends it.
+    profile: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0), np.int32))
     log: PredictionLog = field(default_factory=PredictionLog)
     examples_consumed: int = 0
     final_train_loss: float | None = None
@@ -362,7 +366,6 @@ def online_step(
     model_cfg: model_mod.ModelConfig,
     train_cfg: TrainConfig,
     index: DatasetIndex | None = None,
-    curve_cache: dict | None = None,
 ) -> DayPrediction:
     """Advance the simulation by one day and emit the day's predictions."""
     _check_window_geometry(model_cfg, train_cfg)
@@ -381,17 +384,13 @@ def online_step(
             spec = parse_scheme(train_cfg.scheme)
             needs_curves, needs_error, needs_similar = _scheme_needs(spec)
             if needs_curves:
-                for eidx, record in enumerate(dataset.records):
-                    key = (record.entity_id, labeled_end, horizon.lookback)
-                    if curve_cache is not None and key in curve_cache:
-                        state.curves[eidx] = curve_cache[key]
-                        continue
-                    curve = fluss_probability(
-                        record.features[:labeled_end], horizon.lookback
-                    ).p
-                    state.curves[eidx] = curve
-                    if curve_cache is not None:
-                        curve_cache[key] = curve
+                curves = [
+                    fluss_probability(record.features[:labeled_end], horizon.lookback,
+                                      state.profile[eidx] if len(state.profile) else None)
+                    for eidx, record in enumerate(dataset.records)
+                ]
+                state.profile = np.stack([c.nn_index for c in curves])
+                state.curves = {eidx: c.p for eidx, c in enumerate(curves)}
             if needs_error:
                 state.cache, state.dynamics = sampling.refresh_error_cache(
                     lambda cc: _candidate_losses(state, index, model_cfg, cc),
@@ -475,7 +474,6 @@ def run_simulation(
     train_cfg: TrainConfig,
     n_days: int,
     offline_state: SimulationState | None = None,
-    curve_cache: dict | None = None,
 ) -> tuple[PredictionLog, SimulationState]:
     """Offline training followed by ``n_days`` of daily online steps."""
     if train_cfg.offline_days + n_days > dataset.days:
@@ -491,7 +489,7 @@ def run_simulation(
         state = clone_for_online(offline_state, train_cfg.seed)
     index = DatasetIndex(dataset, train_cfg.horizon)
     for _ in range(n_days):
-        online_step(state, dataset, model_cfg, train_cfg, index, curve_cache)
+        online_step(state, dataset, model_cfg, train_cfg, index)
     return state.log, state
 
 
@@ -513,7 +511,8 @@ def _state_arrays(state: SimulationState) -> list[tuple[str, np.ndarray]]:
     if state.dynamics is not None:
         arrays += [("dynamics/snapshots", state.dynamics.snapshots),
                    ("dynamics/counts", state.dynamics.counts)]
-    arrays += [(f"curves/{e}", state.curves[e]) for e in sorted(state.curves)]
+    if state.profile.size:
+        arrays.append(("profile/nn", state.profile))
     arrays += [("log/days", state.log.days), ("log/entity_idx", state.log.entity_idx),
                ("log/preds", state.log.preds)]
     return [(key, np.ascontiguousarray(a)) for key, a in arrays]
@@ -623,6 +622,10 @@ def load_checkpoint(path: str | Path):
                 capacity=snapshots.shape[1], snapshots=snapshots,
                 counts=arrays["dynamics/counts"],
             )
+        curves = {}
+        if "profile/nn" in arrays:
+            p = sampling_curve(arrays["profile/nn"], train_cfg.horizon.lookback).p
+            curves = dict(enumerate(p))
         log = PredictionLog()
         log.days, log.entity_idx, log.preds = (
             arrays["log/days"], arrays["log/entity_idx"], arrays["log/preds"]
@@ -640,7 +643,8 @@ def load_checkpoint(path: str | Path):
             rng_subsample=rng_subsample,
             cache=cache,
             dynamics=dynamics,
-            curves={int(e): c for e, c in section("curves").items()},
+            curves=curves,
+            profile=arrays.get("profile/nn", np.empty((0, 0, 0), np.int32)),
             log=log,
             examples_consumed=int(header["examples_consumed"]),
             final_train_loss=header["final_train_loss"],

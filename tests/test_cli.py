@@ -197,13 +197,20 @@ class TestHorizonSourceOfTruth:
         data, ckpt, out_dir, _ = run_6_6
         manifest = json.loads((out_dir / "run_manifest.json").read_text())
         assert manifest["config"]["horizon"] == TINY_CONFIG["horizon"]
-        assert manifest["config"]["train"]["horizon"] == TINY_CONFIG["horizon"]
+        assert "horizon" not in manifest["config"]["train"]
         # without a config the checkpoint's horizon runs and is recorded
         bare = tmp_path / "bare_run"
         assert run_cli(["run-online", "--data", data, "--ckpt", str(ckpt),
                         "--days", "1", "--out", str(bare)]) == 0
         manifest = json.loads((bare / "run_manifest.json").read_text())
         assert manifest["config"]["horizon"] == TINY_CONFIG["horizon"]
+
+    def test_run_online_manifest_config_loads_back(self, run_6_6, tmp_path):
+        _, _, out_dir, _ = run_6_6
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        path = tmp_path / "manifest_config.json"
+        path.write_text(json.dumps(manifest["config"]))
+        assert load_config(str(path)) == manifest["config"]
 
     def test_run_online_manifest_records_the_model_that_ran(self, run_6_6, tmp_path):
         data, ckpt, out_dir, _ = run_6_6

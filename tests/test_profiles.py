@@ -3,14 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcast.profiles import (
     ArcCountCurve,
     MatrixProfileIndex,
+    _sliding_dot,
+    _window_stats,
+    channel_index,
     corrected_arc_count,
+    extend_profile,
     fluss_probability,
     mass,
     matrix_profile_index,
+    sampling_curve,
     summed_arc_curve,
 )
 
@@ -54,6 +61,149 @@ def naive_mpi(series, m, radius):
                 best, best_j = d, j
         nn[i] = best_j
     return nn
+
+
+def row_recursion_index(series, m, radius):
+    """The slow oracle: one row of sliding dot products at a time.
+
+    The series is centred on its mean; row i's dot products come from row
+    i-1's in O(n) (row 0's by FFT) and are normalized with rolling window
+    statistics.  Ties break toward the smallest index.
+    """
+    x = series - series.mean()
+    mu, sig, degenerate = _window_stats(x, m)
+    length = len(x) - m + 1
+    qt_first = _sliding_dot(x[:m], x)
+    nn = np.empty(length, dtype=np.int64)
+    qt = qt_first.copy()
+    safe_sig = np.where(degenerate, 1.0, sig)
+    head = x[: length - 1]
+    tail = x[m : m + length - 1]
+    for i in range(length):
+        if i > 0:
+            qt[1:] = qt[:-1] - head * x[i - 1] + tail * x[i + m - 1]
+            qt[0] = qt_first[i]
+        corr = (qt - (m * mu[i]) * mu) / ((m * safe_sig[i]) * safe_sig)
+        np.clip(corr, -1.0, 1.0, out=corr)
+        if degenerate[i]:
+            corr[:] = 0.0
+        else:
+            corr[degenerate] = 0.0
+        corr[max(0, i - radius) : i + radius + 1] = -np.inf
+        nn[i] = int(np.argmax(corr))
+    return nn
+
+
+def nearest_distance_gaps(series, m, radius, nn):
+    """|d(i, nn[i]) - min_j d(i, j)| per window, z-distances by brute force.
+
+    A pair with an exactly flat window has the convention distance sqrt(2m).
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(series, m)
+    centered = windows - windows.mean(axis=1, keepdims=True)
+    flat = windows.max(axis=1) == windows.min(axis=1)
+    z = centered / np.where(flat, 1.0, np.sqrt((centered ** 2).mean(axis=1)))[:, None]
+    z[flat] = 0.0
+    dist = np.sqrt(np.maximum(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2), 0.0))
+    dist[flat, :] = math.sqrt(2 * m)
+    dist[:, flat] = math.sqrt(2 * m)
+    idx = np.arange(len(z))
+    dist[np.abs(idx[:, None] - idx[None, :]) <= radius] = np.inf
+    return np.abs(dist[idx, nn] - dist.min(axis=1))
+
+
+@st.composite
+def walk_and_days(draw):
+    """A random walk with at most one flat stretch, a prefix and day lengths.
+
+    One stretch at most: the windows that overhang two flat stretches by one
+    point have the same z-normalized shape, an exact tie that rounding breaks.
+    """
+    m = draw(st.integers(3, 24))
+    # from 2m + 2 points on, every window has a neighbour outside its zone
+    n = draw(st.integers(2 * m + 2, 2 * m + 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = np.cumsum(rng.normal(size=n))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        series[start : start + draw(st.integers(1, 3 * m))] = series[start]
+    prefix = draw(st.integers(2 * m + 2, n))
+    days = draw(st.lists(st.integers(1, 60), max_size=6))
+    return series, m, prefix, days
+
+
+def extend_by_days(series, m, prefix, days):
+    radius = math.ceil(m / 2)
+    nn = matrix_profile_index(series[:prefix], m).nn_index
+    end = prefix
+    for step in days + [len(series)]:
+        end = min(len(series), end + step)
+        nn = extend_profile(nn, series[:end], m, radius).nn_index
+    return nn
+
+
+class TestExtendProfile:
+    @settings(max_examples=80, deadline=None)
+    @given(walk_and_days())
+    def test_day_by_day_equals_scratch_and_oracle(self, case):
+        series, m, prefix, days = case
+        radius = math.ceil(m / 2)
+        extended = extend_by_days(series, m, prefix, days)
+        scratch = matrix_profile_index(series, m).nn_index
+        np.testing.assert_array_equal(extended, scratch)
+        np.testing.assert_array_equal(scratch, row_recursion_index(series, m, radius))
+        assert nearest_distance_gaps(series, m, radius, scratch).max() <= 1e-9
+
+    def test_paper_shape_days_equal_scratch_and_oracle(self):
+        rng = np.random.default_rng(11)
+        n, m = 6600, 168
+        t = np.arange(n)
+        series = (np.sin(2 * np.pi * t / 24) + 0.5 * np.sin(2 * np.pi * t / 168)
+                  + 0.1 * rng.normal(size=n))
+        extended = extend_by_days(series, m, n - 3 * 24, [24, 24])
+        scratch = matrix_profile_index(series, m).nn_index
+        np.testing.assert_array_equal(extended, scratch)
+        np.testing.assert_array_equal(scratch, row_recursion_index(series, m, m // 2))
+
+    def test_channel_constant_on_the_prefix(self, caplog):
+        rng = np.random.default_rng(12)
+        m = 12
+        series = np.concatenate([np.full(60, 2.5), np.cumsum(rng.normal(size=140))])
+        with caplog.at_level(logging.WARNING):
+            prefix_index = channel_index(series[:60, None], m)
+        assert "constant channel" in caplog.text
+        assert (prefix_index == -1).all()
+        grown = channel_index(series[:, None], m, prefix_index)
+        np.testing.assert_array_equal(grown[0], matrix_profile_index(series, m).nn_index)
+        np.testing.assert_array_equal(grown[0], row_recursion_index(series, m, m // 2))
+
+    def test_longer_index_is_rebuilt_from_scratch(self):
+        rng = np.random.default_rng(13)
+        m = 16
+        series = np.cumsum(rng.normal(size=300))
+        longer = matrix_profile_index(series, m).nn_index
+        shorter = extend_profile(longer, series[:200], m, m // 2).nn_index
+        np.testing.assert_array_equal(shorter, matrix_profile_index(series[:200], m).nn_index)
+
+    def test_index_pointing_outside_its_prefix_rejected(self):
+        series = np.cumsum(np.random.default_rng(14).normal(size=100))
+        nn = matrix_profile_index(series[:80], 10).nn_index.copy()
+        nn[3] = 80
+        with pytest.raises(ValueError, match="inside the prefix"):
+            extend_profile(nn, series, 10, 5)
+
+    def test_stacked_curves_equal_per_entity_curves(self):
+        rng = np.random.default_rng(15)
+        m = 20
+        entities = [np.cumsum(rng.normal(size=(400, 3)), axis=0) for _ in range(4)]
+        entities[1][:, 2] = 7.0  # one constant channel
+        entities[3][:] = 1.0  # every channel constant
+        curves = [fluss_probability(e, m) for e in entities]
+        stacked = sampling_curve(np.stack([c.nn_index for c in curves]), m).p
+        for curve, row in zip(curves, stacked):
+            assert curve.p.tobytes() == row.tobytes()
+        assert (curves[1].nn_index[2] == -1).all()
+        np.testing.assert_array_equal(stacked[3], np.full(len(stacked[3]), 1 / len(stacked[3])))
 
 
 class TestMass:

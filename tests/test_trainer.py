@@ -94,6 +94,7 @@ def assert_states_equal(a, b):
         assert same_array(a.dynamics.counts, b.dynamics.counts)
     assert sorted(a.curves) == sorted(b.curves)
     assert all(same_array(c, b.curves[e]) for e, c in a.curves.items())
+    assert same_array(a.profile, b.profile)
     for name in ("days", "entity_idx", "preds"):
         assert same_array(getattr(a.log, name), getattr(b.log, name)), name
 
@@ -284,6 +285,11 @@ class TestPredictionLog:
             (header, first[::-1] + second[::-1], "not a window"),
             (header, shifted, "not a window"),
             (header, [r for r in rows if r.split(",")[2] != "2"], "not a window"),
+            (header, rows[:3] + [rows[3].rpartition(",")[0]] + rows[4:], "5 columns but 4"),
+            (header, rows[:3] + [rows[3] + ",junk"] + rows[4:], "5 columns but 6"),
+            # every other row cut to 4 fields, the rest given 7
+            (header, [r.rpartition(",")[0] if i % 2 else r + ",junk,1"
+                      for i, r in enumerate(rows)], "5 columns but 7"),
         ]
         for head, body, message in cases:
             path.write_text("\n".join([head] + body) + "\n")
@@ -365,9 +371,10 @@ class TestCheckpoint:
         T.save_checkpoint(loaded, tmp_path / "again.bin", mc, tc)
         assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
 
-    def test_resume_equals_uninterrupted(self, dataset, tmp_path):
+    @pytest.mark.parametrize("scheme", ["uniform:low_error", "segment:similar"])
+    def test_resume_equals_uninterrupted(self, dataset, tmp_path, scheme):
         mc = tiny_model_cfg(dataset)
-        tc = tiny_train_cfg(scheme="uniform:low_error")
+        tc = tiny_train_cfg(scheme=scheme)
         log_full, state_full = T.run_simulation(dataset, mc, tc, n_days=6)
 
         _, state_half = T.run_simulation(dataset, mc, tc, n_days=3)
@@ -379,6 +386,10 @@ class TestCheckpoint:
             T.online_step(resumed, dataset, mc2, tc2, index)
         assert logs_equal(log_full, resumed.log)
         assert params_equal(state_full.params, resumed.params)
+        assert sorted(state_full.curves) == sorted(resumed.curves)
+        assert all(same_array(c, resumed.curves[e]) for e, c in state_full.curves.items())
+        assert same_array(state_full.profile, resumed.profile)
+        assert bool(state_full.curves) == scheme.startswith("segment:")
 
     def test_corrupted_bytes_rejected(self, dataset, tmp_path):
         mc = tiny_model_cfg(dataset)
@@ -415,7 +426,7 @@ class TestCheckpoint:
         state = T.train_offline(dataset, mc, tc)
         path = tmp_path / "ok.bin"
         T.save_checkpoint(state, path, mc, tc)
-        for version in (1, 99):
+        for version in (1, 2, 99):  # 2: the format before profile/nn
             raw = bytearray(path.read_bytes()[:-32])
             off = len(T.CKPT_MAGIC)
             raw[off : off + 4] = version.to_bytes(4, "little")
