@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,19 @@ class Dataset:
     @property
     def days(self) -> int:
         return self.hours // HOURS_PER_DAY
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every record's (features, interactions, metric), stacked by entity.
+
+        Shapes (entities, hours, d), (entities, days, k) and (entities,
+        hours); built on first use and read-only.
+        """
+        arrays = tuple(np.stack([getattr(r, name) for r in self.records])
+                       for name in ("features", "interactions", "metric"))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def record(self, entity_id: str) -> EntityRecord:
         return self.records[self._index[entity_id]]

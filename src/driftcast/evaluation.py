@@ -77,9 +77,8 @@ def windows_from_log(
     """Pair every logged prediction whose window fits the series with its truth."""
     starts = log.days * HOURS_PER_DAY - horizon.backward
     keep = (starts >= 0) & (starts + horizon.horizon <= dataset.hours)
-    metric = np.stack([r.metric for r in dataset.records])
     hours = starts[keep, None] + np.arange(horizon.horizon)
-    return log.preds[keep], metric[log.entity_idx[keep, None], hours]
+    return log.preds[keep], dataset.stacked[2][log.entity_idx[keep, None], hours]
 
 
 def read_predictions(
@@ -91,7 +90,9 @@ def read_predictions(
     of rows per (day, entity), each with the same contiguous ascending
     offsets; they are the horizon the predictions were made with:
     backward = -offsets.start and forward = offsets.stop.  Every row has
-    the header's 5 fields.  An empty file gives range(0).
+    the header's 5 fields.  The filled actual values must be the dataset's
+    metric, bit for bit, at exactly the hours before one cutoff.  An empty
+    file gives range(0).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -131,7 +132,36 @@ def read_predictions(
     log.days = days[bounds[:-1]]
     log.entity_idx = np.array([dataset.entity_index(e) for _, e in keys], dtype=np.int64)
     log.preds = np.ascontiguousarray(rows["pred"].reshape(-1, len(want)))
+    _check_actuals(path, dataset, body, np.repeat(log.entity_idx, len(want)),
+                   days * HOURS_PER_DAY + offs, rows["actual"] != "")
     return log, offsets
+
+
+def _check_actuals(path, dataset: Dataset, body: str, entity_idx, hours, filled) -> None:
+    """Raise ValueError unless the filled actuals are the metric before one cutoff.
+
+    The values are parsed only when some row has one.
+    """
+    if not filled.any():
+        return
+    last_filled = hours[filled].max()
+    first_empty = hours[~filled].min(initial=dataset.hours)
+    if last_filled >= min(first_empty, dataset.hours) or hours[filled].min() < 0:
+        raise ValueError(
+            f"{path}: actual values are filled at hour {int(last_filled)}, past the "
+            f"first unfilled hour {int(first_empty)} or outside the series"
+        )
+    # an empty field reads as NaN, which is not a finite metric value
+    actual = np.loadtxt(io.StringIO((body + "\n").replace(",\n", ",nan\n")),
+                        delimiter=",", comments=None, usecols=4, ndmin=1)[filled]
+    truth = dataset.stacked[2][entity_idx[filled], hours[filled]]
+    wrong = np.flatnonzero(truth.view(np.int64) != actual.view(np.int64))
+    if len(wrong):
+        i = wrong[0]
+        raise ValueError(
+            f"{path}: actual {actual[i]!r} at hour {int(hours[filled][i])} is not "
+            f"the dataset's metric {truth[i]!r} ({len(wrong)} such values)"
+        )
 
 
 def read_prediction_csv(path: str | Path, dataset: Dataset) -> trainer_mod.PredictionLog:

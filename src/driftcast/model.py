@@ -12,6 +12,10 @@ Three variants share the temporal convolution stack:
 
 Forward passes take batched inputs (a batch of one for a single example).
 Gradients are exact and checked against finite differences in the test suite.
+Parameters and gradients are ``FlatViews``: named views over one flat vector
+each.  The temporal encoder keeps its activations in the per-thread
+workspace, and its backward pass overwrites them with gradients, so a
+forward cache serves one backward pass, run before the next forward pass.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import znormalize_rows
+from .data import require, znormalize_rows
 from .nnkernel import (
+    FlatViews,
     conv1d_causal,
     conv1d_causal_backward,
     dense,
@@ -33,6 +38,7 @@ from .nnkernel import (
     softmax,
     softmax_backward,
     uniform_init,
+    workspace,
 )
 
 VARIANTS = ("base", "base_inter", "proposed")
@@ -113,14 +119,20 @@ def _param_specs(cfg: ModelConfig) -> list[tuple[str, tuple, int]]:
     return specs
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Seeded parameter dict in declaration order; biases start at zero."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape, fan_in in _param_specs(cfg):
-        if fan_in == 0:
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = uniform_init(rng, shape, fan_in)
+def param_views(cfg: ModelConfig, flat: np.ndarray) -> FlatViews:
+    """``cfg``'s parameters by name over ``flat``, in declaration order.
+
+    Raises ValueError when ``flat`` has another length than the parameters.
+    """
+    return FlatViews(flat, [(name, shape) for name, shape, _ in _param_specs(cfg)])
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> FlatViews:
+    """Seeded parameters in declaration order; biases start at zero."""
+    specs = _param_specs(cfg)
+    params = FlatViews.empty([(name, shape) for name, shape, _ in specs])
+    for name, shape, fan_in in specs:
+        params[name][...] = 0.0 if fan_in == 0 else uniform_init(rng, shape, fan_in)
     return params
 
 
@@ -132,58 +144,72 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndar
 def _tcn_forward(params, cfg: ModelConfig, X):
     """Temporal encoder; the backward cache holds each block's input and ReLU outputs.
 
-    ReLU outputs are taken in place over the fresh conv and sum buffers, and
-    ``relu_backward`` is given them as its mask, since relu(a) > 0 exactly
-    where a > 0.
+    Conv and sum outputs go into the workspace's per-block buffers, and the
+    ReLUs are taken there in place; ``relu_backward`` is given the ReLU
+    outputs as its mask, since relu(a) > 0 exactly where a > 0.  Only the
+    pooled ``h_t`` is a fresh array.
     """
+    ws = workspace()
+    ws.generation += 1
+    shape = (*X.shape[:-1], cfg.conv_channels)
     out = X
-    cache = []
+    blocks = []
     for blk in range(cfg.n_blocks):
         xin = out
-        a1 = conv1d_causal(xin, params[f"tcn{blk}.conv1.K"], params[f"tcn{blk}.conv1.b"])
-        r1 = relu(a1, out=a1)
-        a2 = conv1d_causal(r1, params[f"tcn{blk}.conv2.K"], params[f"tcn{blk}.conv2.b"])
-        r2 = relu(a2, out=a2)
+        r1 = conv1d_causal(xin, params[f"tcn{blk}.conv1.K"], params[f"tcn{blk}.conv1.b"],
+                           out=ws.get(f"tcn{blk}.r1", shape))
+        relu(r1, out=r1)
+        r2 = conv1d_causal(r1, params[f"tcn{blk}.conv2.K"], params[f"tcn{blk}.conv2.b"],
+                           out=ws.get(f"tcn{blk}.r2", shape))
+        relu(r2, out=r2)
+        s = ws.get(f"tcn{blk}.out", shape)
         if blk == 0:
-            s = conv1d_causal(xin, params["tcn0.res.K"], params["tcn0.res.b"])
+            conv1d_causal(xin, params["tcn0.res.K"], params["tcn0.res.b"], out=s)
             s += r2
         else:
-            s = r2 + xin
+            np.add(r2, xin, out=s)
         out = relu(s, out=s)
-        cache.append((xin, r1, r2, out))
+        blocks.append((xin, r1, r2, out))
     h_t = global_avg_pool_time(out)
-    return h_t, cache
+    return h_t, {"blocks": blocks, "workspace": ws, "generation": ws.generation}
 
 
-def _tcn_backward(params, cfg: ModelConfig, cache, grad_ht):
-    """Parameter gradients of the temporal encoder (the input gradient is not needed).
+def _tcn_backward(params, cfg: ModelConfig, cache, grad_ht, grads: FlatViews) -> None:
+    """Parameter gradients of the temporal encoder, written into ``grads``.
 
-    Gradient temporaries that are not read again are masked in place.
+    The input gradient is not needed.  Each gradient temporary is written
+    over a forward buffer that is no longer read, so the pass needs one
+    spare buffer besides the cache.  Raises InvariantError when the cache's
+    buffers were refilled by a later pass.
     """
-    grads = {}
-    g = global_avg_pool_time_backward(cache[-1][3], grad_ht)
+    ws = cache["workspace"]
+    require(ws is workspace() and ws.generation == cache["generation"],
+            "the TCN cache was overwritten: run a backward pass on this thread "
+            "before the next forward pass")
+    ws.generation += 1
+    blocks = cache["blocks"]
+    top = len(blocks) - 1
+    out = blocks[top][3]
+    g = global_avg_pool_time_backward(out, grad_ht, through_relu=True, out=out)
     for blk in reversed(range(cfg.n_blocks)):
-        xin, r1, r2, out = cache[blk]
-        gs = relu_backward(out, g, out=g)
-        ga2 = relu_backward(r2, gs)
-        gr1, gk2, gb2 = conv1d_causal_backward(r1, params[f"tcn{blk}.conv2.K"], ga2)
+        xin, r1, r2, out = blocks[blk]
+        gs = g if blk == top else relu_backward(out, g, out=g)
+        free = ws.get("tcn.spare", out.shape) if blk == top else out
+        ga2 = relu_backward(r2, gs, out=r2)
+        gr1 = conv1d_causal_backward(
+            r1, params[f"tcn{blk}.conv2.K"], ga2,
+            out=(free, grads[f"tcn{blk}.conv2.K"], grads[f"tcn{blk}.conv2.b"]),
+        )[0]
         ga1 = relu_backward(r1, gr1, out=gr1)
-        g, gk1, gb1 = conv1d_causal_backward(
-            xin, params[f"tcn{blk}.conv1.K"], ga1, need_grad_x=blk > 0
-        )
-        grads[f"tcn{blk}.conv1.K"] = gk1
-        grads[f"tcn{blk}.conv1.b"] = gb1
-        grads[f"tcn{blk}.conv2.K"] = gk2
-        grads[f"tcn{blk}.conv2.b"] = gb2
+        g = conv1d_causal_backward(
+            xin, params[f"tcn{blk}.conv1.K"], ga1, need_grad_x=blk > 0,
+            out=(r2, grads[f"tcn{blk}.conv1.K"], grads[f"tcn{blk}.conv1.b"]),
+        )[0]
         if blk == 0:
-            _, gkr, gbr = conv1d_causal_backward(
-                xin, params["tcn0.res.K"], gs, need_grad_x=False
-            )
-            grads["tcn0.res.K"] = gkr
-            grads["tcn0.res.b"] = gbr
+            conv1d_causal_backward(xin, params["tcn0.res.K"], gs, need_grad_x=False,
+                                   out=(None, grads["tcn0.res.K"], grads["tcn0.res.b"]))
         else:
             g += gs
-    return grads
 
 
 def _mlp2_forward(params, prefix, x, relu_out: bool):
@@ -195,25 +221,23 @@ def _mlp2_forward(params, prefix, x, relu_out: bool):
     return out, (x, a1, r1, a2)
 
 
-def _mlp2_backward(params, prefix, cache, grad_out, relu_out: bool):
+def _mlp2_backward(params, prefix, cache, grad_out, relu_out: bool, grads: FlatViews):
+    """Writes the layer gradients into ``grads``; returns the input gradient."""
     x, a1, r1, a2 = cache
     ga2 = relu_backward(a2, grad_out) if relu_out else grad_out
-    gr1, gw2, gb2 = dense_backward(r1, params[f"{prefix}2.W"], ga2)
-    ga1 = relu_backward(a1, gr1)
-    gx, gw1, gb1 = dense_backward(x, params[f"{prefix}1.W"], ga1)
-    grads = {
-        f"{prefix}1.W": gw1,
-        f"{prefix}1.b": gb1,
-        f"{prefix}2.W": gw2,
-        f"{prefix}2.b": gb2,
-    }
-    return grads, gx
+    gr1 = dense_backward(r1, params[f"{prefix}2.W"], ga2,
+                         out=(None, grads[f"{prefix}2.W"], grads[f"{prefix}2.b"]))[0]
+    ga1 = relu_backward(a1, gr1, out=gr1)
+    return dense_backward(x, params[f"{prefix}1.W"], ga1,
+                          out=(None, grads[f"{prefix}1.W"], grads[f"{prefix}1.b"]))[0]
 
 
 def batch_forward(params, cfg: ModelConfig, X: np.ndarray, I: np.ndarray):
     """Forward pass on a batch; returns (outputs dict, cache for backward).
 
-    X is (B, lookback, n_features); I is (B, interaction_dim).
+    X is (B, lookback, n_features); I is (B, interaction_dim).  The outputs
+    and the cached ``h_t`` are fresh arrays; the rest of the TCN cache lives
+    in the workspace (see ``batch_backward``).
     """
     b = X.shape[0]
     h_t, tcn_cache = _tcn_forward(params, cfg, X)
@@ -261,15 +285,19 @@ def batch_forward(params, cfg: ModelConfig, X: np.ndarray, I: np.ndarray):
 
 
 def batch_backward(params, cfg: ModelConfig, cache, grad_m_hat, grad_shape_extra=None):
-    """Backward pass; gradient dicts keyed like ``params``."""
-    grads: dict[str, np.ndarray] = {}
+    """Backward pass; gradients in a fresh ``FlatViews`` laid out like ``params``.
+
+    It overwrites the cache's TCN buffers, so a cache serves one backward
+    pass, which must come before the next forward pass on the thread;
+    otherwise InvariantError is raised.
+    """
+    grads = FlatViews.empty([(name, p.shape) for name, p in params.items()])
     h_t = cache["h_t"]
 
     if cfg.variant == "base":
-        g_ht, gw, gb = dense_backward(h_t, params["head.W"], grad_m_hat)
-        grads["head.W"] = gw
-        grads["head.b"] = gb
-        grads.update(_tcn_backward(params, cfg, cache["tcn"], g_ht))
+        g_ht = dense_backward(h_t, params["head.W"], grad_m_hat,
+                              out=(None, grads["head.W"], grads["head.b"]))[0]
+        _tcn_backward(params, cfg, cache["tcn"], g_ht, grads)
         return grads
 
     u = cache["u"]
@@ -289,29 +317,21 @@ def batch_backward(params, cfg: ModelConfig, cache, grad_m_hat, grad_shape_extra
         g_mix = np.einsum("bh,bnh->bn", g_shape, bank)
         g_bank = np.einsum("bn,bh->bnh", mix, g_shape)
         g_logits = softmax_backward(mix, g_mix)
-        mg, g_ht_mix = _mlp2_backward(params, "mix", cache["mix_cache"], g_logits, False)
-        grads.update(mg)
-        bg, g_hi_bank = _mlp2_backward(
-            params, "bank", cache["bank_cache"], g_bank.reshape(g_bank.shape[0], -1), False
-        )
-        grads.update(bg)
+        g_ht_mix = _mlp2_backward(params, "mix", cache["mix_cache"], g_logits, False, grads)
+        g_hi_bank = _mlp2_backward(params, "bank", cache["bank_cache"],
+                                   g_bank.reshape(g_bank.shape[0], -1), False, grads)
         w_mat = cache["w_mat"]
         g_scale_out = np.stack([g_sigma, g_mu], axis=1)
         g_u = np.einsum("bkj,bj->bk", w_mat, g_scale_out)
         g_wflat = np.einsum("bk,bj->bkj", u, g_scale_out).reshape(u.shape[0], -1)
 
-    tg, g_ht_top = _mlp2_backward(params, "top", cache["top"], g_u, True)
-    grads.update(tg)
-    ig, g_hi_inter = _mlp2_backward(params, "scale_inter", cache["inter"], g_wflat, False)
-    grads.update(ig)
-
-    g_hi = g_hi_inter
-    g_ht = g_ht_top
+    g_ht = _mlp2_backward(params, "top", cache["top"], g_u, True, grads)
+    g_hi = _mlp2_backward(params, "scale_inter", cache["inter"], g_wflat, False, grads)
     if cfg.variant == "proposed":
         g_hi = g_hi + g_hi_bank
         g_ht = g_ht + g_ht_mix
-    grads["embed.C"] = cache["i_norm"].T @ g_hi
-    grads.update(_tcn_backward(params, cfg, cache["tcn"], g_ht))
+    np.matmul(cache["i_norm"].T, g_hi, out=grads["embed.C"])
+    _tcn_backward(params, cfg, cache["tcn"], g_ht, grads)
     return grads
 
 
@@ -347,7 +367,10 @@ def batch_losses(params, cfg: ModelConfig, X, I, Y, gamma: float) -> np.ndarray:
 
 
 def batch_loss_and_grads(params, cfg: ModelConfig, X, I, Y, gamma: float):
-    """Mean batch loss and gradients for every parameter."""
+    """Mean batch loss and the gradient of every parameter.
+
+    The gradients are a ``FlatViews`` over a fresh vector that the caller owns.
+    """
     b, h = Y.shape
     out, cache = batch_forward(params, cfg, X, I)
     err, serr = loss_errors(out["m_hat"], out.get("shape"), Y)

@@ -9,6 +9,12 @@ The causal conv is written as one 2-D BLAS GEMM per kernel tap on the
 (rows, channels) view of the whole batch, shifted in time afterwards, so no
 pass builds a (rows, c_in * width) patch matrix.  Float sums therefore follow
 the BLAS build and thread count; results repeat bitwise at a fixed pair.
+
+Passes write into caller-given buffers where ``out`` is offered, and take
+their temporaries from a per-thread ``Workspace`` that is reused across
+calls, so a steady training step page-faults in no fresh activations.
+Parameters, gradients and Adam moments are each one flat vector, read by
+name through ``FlatViews``.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -38,13 +45,18 @@ def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ W + b
 
 
-def dense_backward(x, W, grad_y):
-    """Gradients of dense w.r.t. (x, W, b) given upstream grad_y."""
+def dense_backward(x, W, grad_y, out=None):
+    """Gradients of dense w.r.t. (x, W, b) given upstream grad_y.
+
+    ``out`` is a triple like the result whose arrays, where not None,
+    receive the gradients.
+    """
+    gx, gw, gb = out or (None, None, None)
     xf = x.reshape(-1, x.shape[-1])
     gf = grad_y.reshape(-1, grad_y.shape[-1])
-    grad_x = grad_y @ W.T
-    grad_W = xf.T @ gf
-    grad_b = gf.sum(axis=0)
+    grad_x = np.matmul(grad_y, W.T, out=gx)
+    grad_W = np.matmul(xf.T, gf, out=gw)
+    grad_b = gf.sum(axis=0, out=gb)
     return grad_x, grad_W, grad_b
 
 
@@ -54,12 +66,18 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(x, grad_y, out: np.ndarray | None = None):
-    """grad_y where x > 0, else 0; x may be the input or the output of relu.
+    """grad_y * (x > 0); x may be the input or the output of relu.
 
-    Subgradient at exactly 0 is 0.  Written into ``out`` when given
-    (``out=grad_y`` works in place).
+    Subgradient at exactly 0 is 0.  The mask is built in a reused buffer;
+    the product is written into ``out`` when given (``out=grad_y`` or
+    ``out=x`` works in place).
     """
-    return np.multiply(grad_y, x > 0, out=out)
+    return np.multiply(grad_y, _positive(x), out=out)
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    """The boolean mask x > 0, in the calling thread's reused mask buffer."""
+    return np.greater(x, 0.0, out=workspace().get("relu.mask", x.shape, bool))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -75,22 +93,45 @@ def softmax_backward(y, grad_y):
     return y * (grad_y - inner)
 
 
-_workspace = threading.local()
+class Workspace:
+    """Buffers reused across calls on one thread, one per key.
 
-
-def _scratch(rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) buffer reused across calls on the calling thread.
-
-    A fresh temporary of this size is page-faulted in on every call: at
+    A fresh multi-megabyte temporary is page-faulted in on every call: at
     B=128, T=48 and 16 channels that doubled a forward pass, 1.4 ms against
-    0.7 ms (one Haswell core, 1 BLAS thread).  The buffer never leaves the
-    kernel that asked for it, and it only grows.
+    0.7 ms (one Haswell core, 1 BLAS thread).  A buffer only grows; a
+    smaller request gets a view of its leading elements, so what a call
+    wrote there lasts only until the next request for the same key.
+    ``generation`` is bumped by a pass that fills buffers a later call reads
+    (the TCN's backward cache), so that call can tell they were refilled.
     """
-    size = rows * cols
-    buf = getattr(_workspace, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _workspace.buf = np.empty(size)
-    return buf[:size].reshape(rows, cols)
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self.generation = 0
+
+    def get(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """A C-contiguous buffer of ``shape`` under ``key`` (one dtype per key)."""
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def release(self) -> None:
+        """Drop every buffer, so that its memory is not held between loops."""
+        self._buffers.clear()
+        self.generation += 1
+
+
+_local = threading.local()
+
+
+def workspace() -> Workspace:
+    """The calling thread's workspace."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None:
+        ws = _local.workspace = Workspace()
+    return ws
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -117,7 +158,7 @@ def _add_shifted(acc: np.ndarray, part: np.ndarray, t: int, shift: int) -> None:
     edge[...] = saved
 
 
-def conv1d_causal(x: np.ndarray, K: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv1d_causal(x: np.ndarray, K: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Causal 1-D convolution.
 
     x is (..., time, c_in), K is (c_out, c_in, width), b is (c_out,).  Output
@@ -128,9 +169,9 @@ def conv1d_causal(x: np.ndarray, K: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each tap is one 2-D GEMM over all rows of the contiguous (rows, c_in) view
     of x; its product is added into the output shifted by width-1-dt rows
     along the time axis, and the rows it would carry across a series boundary
-    are dropped.  The shift-0 tap writes the output directly.  Besides the
-    output, the pass writes only a reused (rows, c_out) scratch buffer; it
-    builds no patch matrix.
+    are dropped.  The shift-0 tap writes the output directly, into the
+    C-contiguous ``out`` when given.  Besides the output, the pass writes
+    only a reused (rows, c_out) scratch buffer; it builds no patch matrix.
     """
     c_out, c_in, width = K.shape
     if x.shape[-1] != c_in or b.shape[0] != c_out:
@@ -140,16 +181,16 @@ def conv1d_causal(x: np.ndarray, K: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = x.shape[-2]
     x2 = _rows(x)
     taps = np.ascontiguousarray(K.transpose(2, 1, 0))    # (width, c_in, c_out)
-    y2 = x2 @ taps[width - 1]
+    y2 = np.matmul(x2, taps[width - 1], out=_out_rows(out, c_out))
     y2 += b
-    scratch = _scratch(*y2.shape)
+    scratch = workspace().get("conv", y2.shape)
     for shift in range(1, min(width, t)):
         np.matmul(x2, taps[width - 1 - shift], out=scratch)
         _add_shifted(y2, scratch, t, shift)
     return y2.reshape(*x.shape[:-1], c_out)
 
 
-def conv1d_causal_backward(x, K, grad_y, need_grad_x: bool = True):
+def conv1d_causal_backward(x, K, grad_y, need_grad_x: bool = True, out=None):
     """Gradients of conv1d_causal w.r.t. (x, K, b).
 
     The same shifted-tap design as the forward pass: grad_x is one GEMM per
@@ -159,14 +200,18 @@ def conv1d_causal_backward(x, K, grad_y, need_grad_x: bool = True):
     flattened batch, minus the few products that pair the first ``shift``
     rows of a series with the last rows of the series before it.  With
     ``need_grad_x=False`` the grad_x GEMMs are skipped and None is returned
-    in its place.
+    in its place.  ``out`` is a triple like the result whose arrays, where
+    not None, receive the gradients (grad_x's C-contiguous).
     """
+    gx, gk, gb = out or (None, None, None)
     c_out, c_in, width = K.shape
     t = x.shape[-2]
     x2 = _rows(x)
     g2 = _rows(grad_y)
     n = len(x2)
-    grad_b = g2.T @ np.ones(n)           # a GEMV; g2.sum(axis=0) is ~10x slower
+    ones = workspace().get("ones", (n,))
+    ones.fill(1.0)
+    grad_b = np.matmul(g2.T, ones, out=gb)    # a GEMV; g2.sum(axis=0) is ~10x slower
 
     grad_k = np.zeros((width, c_out, c_in))
     x3 = x2.reshape(math.prod(x.shape[:-2]), t, c_in)
@@ -176,17 +221,28 @@ def conv1d_causal_backward(x, K, grad_y, need_grad_x: bool = True):
         np.matmul(g2[shift:].T, x2[: n - shift], out=tap)
         if shift and len(x3) > 1:
             tap -= _rows(g3[1:, :shift]).T @ _rows(x3[:-1, t - shift :])
-    grad_k = np.ascontiguousarray(grad_k.transpose(1, 2, 0))
+    if gk is None:
+        gk = np.empty((c_out, c_in, width))
+    gk[...] = grad_k.transpose(1, 2, 0)
 
     if not need_grad_x:
-        return None, grad_k, grad_b
+        return None, gk, grad_b
     taps = np.ascontiguousarray(K.transpose(2, 0, 1))    # (width, c_out, c_in)
-    gx2 = g2 @ taps[width - 1]
-    scratch = _scratch(*gx2.shape)
+    gx2 = np.matmul(g2, taps[width - 1], out=_out_rows(gx, c_in))
+    scratch = workspace().get("conv", gx2.shape)
     for shift in range(1, min(width, t)):
         np.matmul(g2, taps[width - 1 - shift], out=scratch)
         _add_shifted(gx2, scratch, t, -shift)
-    return gx2.reshape(x.shape), grad_k, grad_b
+    return gx2.reshape(x.shape), gk, grad_b
+
+
+def _out_rows(out: np.ndarray | None, cols: int) -> np.ndarray | None:
+    """A C-contiguous (..., cols) output buffer as its (rows, cols) view."""
+    if out is None:
+        return None
+    if not out.flags.c_contiguous:
+        raise ValueError("an output buffer must be C-contiguous")
+    return out.reshape(-1, cols)
 
 
 def global_avg_pool_time(x: np.ndarray) -> np.ndarray:
@@ -196,9 +252,17 @@ def global_avg_pool_time(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=-2)
 
 
-def global_avg_pool_time_backward(x, grad_y):
-    t = x.shape[-2]
-    return np.broadcast_to(grad_y[..., None, :], x.shape) / t
+def global_avg_pool_time_backward(x, grad_y, through_relu: bool = False, out=None):
+    """Gradient of global_avg_pool_time: grad_y / time at every time step.
+
+    With ``through_relu``, x is the ReLU output that was pooled and the
+    result is also taken back through that ReLU, as ``relu_backward(x, .)``
+    would, written into ``out`` when given (``out=x`` works in place).
+    """
+    g = (grad_y / x.shape[-2])[..., None, :]
+    if through_relu:
+        return np.multiply(g, _positive(x), out=out)
+    return np.broadcast_to(g, x.shape).copy()
 
 
 # --------------------------------------------------------------------------
@@ -206,77 +270,95 @@ def global_avg_pool_time_backward(x, grad_y):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+class FlatViews(dict):
+    """Named views, in order, over consecutive pieces of one flat vector.
+
+    The vector is ``flat``: an update of the whole vector is one operation,
+    while layers read and write their arrays by name.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes: Iterable[tuple[str, tuple]]):
+        super().__init__()
+        shapes = list(shapes)
+        size = _layout_size(shapes)
+        if flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ValueError(
+                f"a flat vector of shape {flat.shape} for a layout of {size} values"
+            )
+        offset = 0
+        for name, shape in shapes:
+            self[name] = flat[offset : offset + math.prod(shape)].reshape(shape)
+            offset += math.prod(shape)
+        self.flat = flat
+
+    @classmethod
+    def empty(cls, shapes: Iterable[tuple[str, tuple]]) -> "FlatViews":
+        shapes = list(shapes)
+        return cls(np.empty(_layout_size(shapes)), shapes)
+
+    def over(self, flat: np.ndarray) -> "FlatViews":
+        """The same layout over another flat vector."""
+        return FlatViews(flat, [(name, a.shape) for name, a in self.items()])
+
+
+def _layout_size(shapes: list[tuple[str, tuple]]) -> int:
+    return sum(math.prod(shape) for _, shape in shapes)
+
+
+@dataclass
 class AdamState:
-    """Per-parameter Adam moments plus hyperparameters."""
+    """Adam moments of one flat parameter vector, updated in place by adam_step."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
-    step_count: int
     learning_rate: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
+    step_count: int = 0
 
     @classmethod
-    def zeros_like(cls, param: np.ndarray, learning_rate: float) -> "AdamState":
-        return cls(
-            first_moment=np.zeros_like(param),
-            second_moment=np.zeros_like(param),
-            step_count=0,
-            learning_rate=learning_rate,
+    def zeros(cls, size: int, learning_rate: float) -> "AdamState":
+        return cls(np.zeros(size), np.zeros(size), learning_rate)
+
+    def copy(self) -> "AdamState":
+        return replace(self, first_moment=self.first_moment.copy(),
+                       second_moment=self.second_moment.copy())
+
+
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One Adam update with bias correction, in place over param and state.
+
+    The elementwise operations and their order are those of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    param -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps), so one call on
+    a flat vector equals, bit for bit, one call per piece of it.  Its two
+    temporaries come from the workspace.
+    """
+    if not param.shape == grad.shape == state.first_moment.shape == state.second_moment.shape:
+        raise ValueError(
+            f"grad {grad.shape}, moments {state.first_moment.shape}/"
+            f"{state.second_moment.shape} unlike param {param.shape}"
         )
-
-
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState):
-    """One Adam update with bias correction; returns (new_param, new_state)."""
-    if param.shape != grad.shape:
-        raise ValueError(f"grad shape {grad.shape} != param shape {param.shape}")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1 - state.beta2) * grad * grad
-    m_hat = m / (1 - state.beta1**t)
-    v_hat = v / (1 - state.beta2**t)
-    new_param = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_param, replace(state, first_moment=m, second_moment=v, step_count=t)
+    m, v = state.first_moment, state.second_moment
+    step, denom = workspace().get("adam", (2, *param.shape))
+    m *= ADAM_BETA1
+    m += np.multiply(1 - ADAM_BETA1, grad, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1 - ADAM_BETA2, grad, out=step)
+    step *= grad
+    v += step
+    np.divide(m, 1 - ADAM_BETA1**t, out=step)
+    np.divide(v, 1 - ADAM_BETA2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step *= state.learning_rate
+    step /= denom
+    param -= step
+    state.step_count = t
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Uniform weights scaled by 1/sqrt(fan_in)."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-# --------------------------------------------------------------------------
-# Finite-difference gradient checking
-# --------------------------------------------------------------------------
-
-
-def grad_check(f, x: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f(x)`` must return ``(scalar_value, gradient_wrt_x)``.  The relative
-    error per coordinate is |num - ana| / max(1, |num|, |ana|), which behaves
-    as an absolute error for near-zero gradients.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _, analytic = f(x)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != x.shape:
-        raise ValueError("analytic gradient shape mismatch")
-    worst = 0.0
-    flat = x.ravel().copy()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        up, _ = f(flat.reshape(x.shape))
-        flat[i] = orig - eps
-        down, _ = f(flat.reshape(x.shape))
-        flat[i] = orig
-        numeric = (up - down) / (2 * eps)
-        ana = analytic.ravel()[i]
-        err = abs(numeric - ana) / max(1.0, abs(numeric), abs(ana))
-        worst = max(worst, err)
-    return worst

@@ -171,8 +171,13 @@ def extend_profile(
     """
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
-    if n < 2 * m:
-        raise ValueError(f"series length {n} must be at least 2*m = {2 * m}")
+    # the middle window needs a neighbour more than ``radius`` windows away
+    shortest = max(2 * m, m + 2 * radius + 1)
+    if n < shortest:
+        raise ValueError(
+            f"series length {n} must be at least {shortest} for m = {m} and exclusion "
+            f"radius {radius}, so that every window has a neighbour outside its zone"
+        )
     length = n - m + 1
     z, degenerate = _unit_windows(series, m)
     done = len(nn) if len(nn) <= length else 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,13 @@ class CandidateWeights:
         require(len(self.weights) == len(self.candidates), "one weight per candidate")
         require(np.all(self.weights >= 0), "weights must be non-negative")
         require(abs(self.weights.sum() - 1.0) <= 1e-9, "weights must sum to 1")
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative weights ending at exactly 1, as ``rng.choice(p=weights)`` builds them."""
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
 
 def uniform_weights(candidates: CandidateArray) -> CandidateWeights:
@@ -393,6 +401,11 @@ def combine(w1: CandidateWeights, w2: CandidateWeights) -> CandidateWeights:
 def sample_batch(
     w: CandidateWeights, batch_size: int, rng: np.random.Generator
 ) -> CandidateArray:
-    """``batch_size`` independent draws with replacement."""
-    idx = rng.choice(len(w.candidates), size=batch_size, replace=True, p=w.weights)
+    """``batch_size`` independent draws with replacement.
+
+    The indices and the generator's state afterwards are those of
+    ``rng.choice(len(w.candidates), batch_size, p=w.weights)``, which builds
+    and searches the same cumulative weights on every call.
+    """
+    idx = w.cdf.searchsorted(rng.random(batch_size), side="right")
     return w.candidates.take(idx)

@@ -12,10 +12,11 @@ day's midnight is emitted for every entity into a ``PredictionLog`` of three
 day-major arrays.  Predictions are a pure function of features dated up to
 the anchor and labels dated before the delay cutoff.
 
-Checkpoints serialize parameters, optimizer moments, RNG states, sampling
-caches, the segmentation neighbour index and the prediction log; the
-segmentation curves are derived again from the index on load.  Resuming from
-a checkpoint reproduces an uninterrupted run bit for bit.
+Parameters and both Adam moments are three flat vectors; one ``adam_step``
+updates them all.  Checkpoints serialize the three vectors, RNG states,
+sampling caches, the segmentation neighbour index and the prediction log;
+the segmentation curves are derived again from the index on load.  Resuming
+from a checkpoint reproduces an uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .data import (
     anchor_bounds,
     label_cutoff,
 )
-from .nnkernel import AdamState, adam_step
+from .nnkernel import AdamState, FlatViews, adam_step, workspace
 from .profiles import fluss_probability, sampling_curve
 from .sampling import CandidateArray, SchemeSpec, parse_scheme
 
@@ -48,7 +52,7 @@ logger = logging.getLogger(__name__)
 LOSS_EVAL_CHUNK = 2048
 
 CKPT_MAGIC = b"DRIFTCAST_CKPT\n"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 CKPT_DTYPES = ("<f8", "<i8", "<i4")
 
 PREDICTION_CSV_HEADER = "day,entity_id,offset,predicted,actual_when_available"
@@ -151,11 +155,20 @@ class DayPrediction:
     m_hat: np.ndarray  # (n_entities_emitted, horizon)
 
 
+class AdamMoments(NamedTuple):
+    """One parameter's Adam moments: read-only views into the flat moments."""
+
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    step_count: int
+    learning_rate: float
+
+
 @dataclass
 class SimulationState:
     current_day: int
-    params: dict[str, np.ndarray]
-    adam: dict[str, AdamState]
+    params: FlatViews         # named views over ``params.flat``
+    optimizer: AdamState      # moments of ``params.flat``
     gamma: float
     rng_batches: np.random.Generator
     rng_subsample: np.random.Generator
@@ -169,6 +182,18 @@ class SimulationState:
     examples_consumed: int = 0
     final_train_loss: float | None = None
 
+    @property
+    def adam(self) -> Mapping[str, AdamMoments]:
+        """Each parameter's Adam moments by name, in parameter order."""
+        opt = self.optimizer
+        m, v = self.params.over(opt.first_moment), self.params.over(opt.second_moment)
+        for a in (*m.values(), *v.values()):
+            a.flags.writeable = False
+        return MappingProxyType({
+            name: AdamMoments(m[name], v[name], opt.step_count, opt.learning_rate)
+            for name in self.params
+        })
+
 
 # --------------------------------------------------------------------------
 # Dataset indexing and batch assembly
@@ -176,27 +201,24 @@ class SimulationState:
 
 
 class DatasetIndex:
-    """Strided views over every record for fast window gathering."""
+    """Window gathering: one fancy index per array of ``Dataset.stacked``."""
 
     def __init__(self, dataset: Dataset, horizon: HorizonConfig):
         self.dataset = dataset
         self.horizon = horizon
-        swv = np.lib.stride_tricks.sliding_window_view
-        self.feat_views = [
-            swv(r.features, horizon.lookback, axis=0) for r in dataset.records
-        ]
-        self.target_views = [swv(r.metric, horizon.horizon) for r in dataset.records]
+        self.features, self.interactions, self.metric = dataset.stacked
+        self.feature_hours = np.arange(-horizon.lookback, 0)
+        self.target_hours = np.arange(-horizon.backward, horizon.forward)
 
     def gather(self, cands: CandidateArray, with_targets: bool = True):
         """(X, I, Y) windows of the candidates; Y is None without targets.
 
         Every anchor must lie in ``[min_anchor, hours - forward]``, or in
-        ``[lookback, hours - 1]`` without targets; otherwise the strided
-        views would wrap or overrun, and ``WindowRangeError`` is raised.
+        ``[lookback, hours - 1]`` without targets; otherwise the indices
+        would wrap or overrun, and ``WindowRangeError`` is raised.
         """
-        n = len(cands)
         h = self.horizon
-        if n:
+        if len(cands):
             lo = h.min_anchor if with_targets else h.lookback
             hi = self.dataset.hours - (h.forward if with_targets else 1)
             first, last = int(cands.anchors.min()), int(cands.anchors.max())
@@ -206,16 +228,10 @@ class DatasetIndex:
                     f"(lookback={h.lookback}, backward={h.backward}, "
                     f"forward={h.forward}, hours={self.dataset.hours})"
                 )
-        X = np.empty((n, h.lookback, self.dataset.n_features))
-        I = np.empty((n, self.dataset.interaction_dim))
-        Y = np.empty((n, h.horizon)) if with_targets else None
-        for e in np.unique(cands.entity_idx):
-            sel = cands.entity_idx == e
-            anchors = cands.anchors[sel]
-            X[sel] = self.feat_views[e][anchors - h.lookback].transpose(0, 2, 1)
-            I[sel] = self.dataset.records[e].interactions[anchors // HOURS_PER_DAY]
-            if with_targets:
-                Y[sel] = self.target_views[e][anchors - h.backward]
+        entity, anchors = cands.entity_idx[:, None], cands.anchors[:, None]
+        X = self.features[entity, anchors + self.feature_hours]
+        I = self.interactions[cands.entity_idx, cands.anchors // HOURS_PER_DAY]
+        Y = self.metric[entity, anchors + self.target_hours] if with_targets else None
         return X, I, Y
 
 
@@ -252,13 +268,6 @@ def _auto_gamma(dataset: Dataset, cands: CandidateArray, horizon: HorizonConfig)
         total += float(np.maximum(var, 0.0).sum())
         count += len(starts)
     return total / count if count else 1.0
-
-
-def _apply_updates(state: SimulationState, grads: dict[str, np.ndarray]) -> None:
-    for name in state.params:
-        state.params[name], state.adam[name] = adam_step(
-            state.params[name], grads[name], state.adam[name]
-        )
 
 
 def _candidate_losses(
@@ -317,14 +326,10 @@ def train_offline(
         gamma = 0.0
 
     params = model_mod.init_params(model_cfg, rng_init)
-    adam = {
-        name: AdamState.zeros_like(p, train_cfg.learning_rate)
-        for name, p in params.items()
-    }
     state = SimulationState(
         current_day=train_cfg.offline_days,
         params=params,
-        adam=adam,
+        optimizer=AdamState.zeros(len(params.flat), train_cfg.learning_rate),
         gamma=gamma,
         rng_batches=rng_batches,
         rng_subsample=rng_subsample,
@@ -340,12 +345,13 @@ def train_offline(
             loss, grads = model_mod.batch_loss_and_grads(
                 state.params, model_cfg, X, I, Y, state.gamma
             )
-            _apply_updates(state, grads)
+            adam_step(state.params.flat, grads.flat, state.optimizer)
             epoch_loss += loss
             batches += 1
         state.final_train_loss = epoch_loss / batches
         logger.info("offline epoch %d/%d loss %.6f",
                     epoch + 1, train_cfg.offline_epochs, state.final_train_loss)
+    workspace().release()
     return state
 
 
@@ -428,7 +434,7 @@ def online_step(
                 _, grads = model_mod.batch_loss_and_grads(
                     state.params, model_cfg, X, I, Y, state.gamma
                 )
-                _apply_updates(state, grads)
+                adam_step(state.params.flat, grads.flat, state.optimizer)
                 state.examples_consumed += train_cfg.batch_size
 
     anchor = day * HOURS_PER_DAY
@@ -444,6 +450,9 @@ def online_step(
     m_hat = model_mod.batch_predict(state.params, model_cfg, X, I)
     state.log.append_day(day, emitted_idx, m_hat)
     state.current_day = day + 1
+    # The buffers serve this day's passes; held past it, they would sit
+    # beside the next day's segmentation and the caller's checkpoint I/O.
+    workspace().release()
     return DayPrediction(
         day=day,
         m_hat=m_hat,
@@ -455,12 +464,8 @@ def clone_for_online(state: SimulationState, seed: int) -> SimulationState:
     _, _, rng_batches, rng_subsample = _rng_streams(seed)
     return SimulationState(
         current_day=state.current_day,
-        params={k: v.copy() for k, v in state.params.items()},
-        adam={
-            k: replace(s, first_moment=s.first_moment.copy(),
-                       second_moment=s.second_moment.copy())
-            for k, s in state.adam.items()
-        },
+        params=state.params.over(state.params.flat.copy()),
+        optimizer=state.optimizer.copy(),
         gamma=state.gamma,
         rng_batches=rng_batches,
         rng_subsample=rng_subsample,
@@ -500,10 +505,8 @@ def run_simulation(
 
 def _state_arrays(state: SimulationState) -> list[tuple[str, np.ndarray]]:
     """Every array of the state under its checkpoint key, in file order."""
-    names = list(state.params)
-    arrays = [(f"params/{n}", state.params[n]) for n in names]
-    arrays += [(f"adam_m/{n}", state.adam[n].first_moment) for n in names]
-    arrays += [(f"adam_v/{n}", state.adam[n].second_moment) for n in names]
+    arrays = [("params", state.params.flat), ("adam_m", state.optimizer.first_moment),
+              ("adam_v", state.optimizer.second_moment)]
     if state.cache is not None:
         arrays += [("cache/entity_idx", state.cache.candidates.entity_idx),
                    ("cache/anchors", state.cache.candidates.anchors),
@@ -537,7 +540,7 @@ def save_checkpoint(
         "gamma": state.gamma,
         "examples_consumed": state.examples_consumed,
         "final_train_loss": state.final_train_loss,
-        "adam_steps": {name: s.step_count for name, s in state.adam.items()},
+        "adam_steps": state.optimizer.step_count,
         "rng_batches": state.rng_batches.bit_generator.state,
         "rng_subsample": state.rng_subsample.bit_generator.state,
         "cache": None
@@ -593,21 +596,21 @@ def load_checkpoint(path: str | Path):
         if pos != len(body):
             raise CheckpointIntegrityError(f"{path}: trailing bytes in checkpoint")
 
-        def section(name: str) -> dict[str, np.ndarray]:
-            return {k.partition("/")[2]: a for k, a in arrays.items() if k.startswith(name + "/")}
-
         model_cfg = model_mod.ModelConfig(**header["model_config"])
         train_cfg = TrainConfig.from_dict(header["train_config"])
-        params, moments_m, moments_v = section("params"), section("adam_m"), section("adam_v")
-        adam = {
-            name: AdamState(
-                first_moment=moments_m[name],
-                second_moment=moments_v[name],
-                step_count=int(header["adam_steps"][name]),
-                learning_rate=train_cfg.learning_rate,
+        vectors = [arrays[key] for key in ("params", "adam_m", "adam_v")]
+        try:
+            params = model_mod.param_views(model_cfg, vectors[0])
+        except ValueError as err:
+            raise CheckpointIntegrityError(
+                f"{path}: the parameter vector does not fit the model: {err}"
+            ) from err
+        if any(a.dtype != np.float64 or a.shape != params.flat.shape for a in vectors):
+            raise CheckpointIntegrityError(
+                f"{path}: the parameter and Adam moment vectors differ in length or dtype"
             )
-            for name in params
-        }
+        optimizer = AdamState(vectors[1], vectors[2], train_cfg.learning_rate,
+                              step_count=int(header["adam_steps"]))
         cache = dynamics = None
         if header["cache"] is not None:
             cache = sampling.ErrorCache(
@@ -637,7 +640,7 @@ def load_checkpoint(path: str | Path):
         state = SimulationState(
             current_day=int(header["current_day"]),
             params=params,
-            adam=adam,
+            optimizer=optimizer,
             gamma=float(header["gamma"]),
             rng_batches=rng_batches,
             rng_subsample=rng_subsample,

@@ -18,6 +18,7 @@ from driftcast import model as M
 from driftcast import nnkernel as nn
 from driftcast import trainer as T
 from driftcast.cli import run_cli
+from gradcheck import grad_check
 from driftcast.data import Dataset, EntityRecord, HorizonConfig, load_dataset
 from driftcast.profiles import fluss_probability, mass, matrix_profile_index, summed_arc_curve
 from driftcast.sampling import CandidateArray, CandidateWeights, sample_batch, uniform_weights
@@ -79,28 +80,28 @@ def test_criterion_01_gradient_suite():
         x = rng.normal(size=6)
         W, b = rng.normal(size=(6, 4)), rng.normal(size=4)
         gy = rng.normal(size=4)
-        worst = max(worst, nn.grad_check(
+        worst = max(worst, grad_check(
             lambda xx: (float(nn.dense(xx, W, b) @ gy),
                         nn.dense_backward(xx, W, gy)[0]), x))
         xc = rng.normal(size=(7, 2))
         K, bc = rng.normal(size=(3, 2, 3)), rng.normal(size=3)
         gc = rng.normal(size=(7, 3))
-        worst = max(worst, nn.grad_check(
+        worst = max(worst, grad_check(
             lambda xx: (float((nn.conv1d_causal(xx, K, bc) * gc).sum()),
                         nn.conv1d_causal_backward(xx, K, gc)[0]), xc))
         xr = rng.normal(size=8) + np.sign(rng.normal(size=8)) * 0.3
         gr = rng.normal(size=8)
-        worst = max(worst, nn.grad_check(
+        worst = max(worst, grad_check(
             lambda xx: (float((nn.relu(xx) * gr).sum()),
                         nn.relu_backward(xx, gr)), xr))
         xs = rng.normal(size=5)
         gs = rng.normal(size=5)
-        worst = max(worst, nn.grad_check(
+        worst = max(worst, grad_check(
             lambda xx: (float((nn.softmax(xx) * gs).sum()),
                         nn.softmax_backward(nn.softmax(xx), gs)), xs))
         xp = rng.normal(size=(5, 3))
         gp = rng.normal(size=3)
-        worst = max(worst, nn.grad_check(
+        worst = max(worst, grad_check(
             lambda xx: (float(nn.global_avg_pool_time(xx) @ gp),
                         nn.global_avg_pool_time_backward(xx, gp)), xp))
 

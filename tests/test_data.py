@@ -34,6 +34,25 @@ def gather_one(dataset, anchor, cfg, with_targets=True):
     return X[0], I[0], None if Y is None else Y[0]
 
 
+def gather_per_entity(index, cands, with_targets=True):
+    """One entity at a time through strided views: the reference for ``gather``."""
+    h, dataset = index.horizon, index.dataset
+    swv = np.lib.stride_tricks.sliding_window_view
+    n = len(cands)
+    X = np.empty((n, h.lookback, dataset.n_features))
+    I = np.empty((n, dataset.interaction_dim))
+    Y = np.empty((n, h.horizon)) if with_targets else None
+    for e in np.unique(cands.entity_idx):
+        record = dataset.records[e]
+        sel = cands.entity_idx == e
+        anchors = cands.anchors[sel]
+        X[sel] = swv(record.features, h.lookback, axis=0)[anchors - h.lookback].transpose(0, 2, 1)
+        I[sel] = record.interactions[anchors // 24]
+        if with_targets:
+            Y[sel] = swv(record.metric, h.horizon)[anchors - h.backward]
+    return X, I, Y
+
+
 def znormalize(x):
     """One vector at a time: the reference that ``znormalize_rows`` must match."""
     x = np.asarray(x, dtype=np.float64)
@@ -51,6 +70,31 @@ def znormalize_row(x):
 
 class TestMakeWindow:
     """Window geometry and feasibility bounds of ``DatasetIndex.gather``."""
+
+    def test_matches_the_per_entity_gather(self):
+        records = tuple(
+            EntityRecord(entity_id=f"e{i}", features=r.features, metric=r.metric,
+                         interactions=r.interactions)
+            for i, r in enumerate(make_record(hours=600, d=2, k=3, seed=s) for s in range(4))
+        )
+        dataset = Dataset(records=records, meta={})
+        rng = np.random.default_rng(12)
+        for cfg in (HorizonConfig(48, 24, 24), HorizonConfig(30, 0, 7), HorizonConfig(1, 5, 1)):
+            index = DatasetIndex(dataset, cfg)
+            for with_targets in (True, False):
+                lo = cfg.min_anchor if with_targets else cfg.lookback
+                hi = dataset.hours - (cfg.forward if with_targets else 1)
+                for n in (0, 1, 257):
+                    anchors = rng.integers(lo, hi + 1, size=n)
+                    anchors[: min(n, 2)] = [lo, hi][: min(n, 2)]
+                    cands = CandidateArray(rng.integers(0, 4, size=n).astype(np.int32), anchors)
+                    got = index.gather(cands, with_targets)
+                    ref = gather_per_entity(index, cands, with_targets)
+                    for a, b in zip(got, ref):
+                        if b is None:
+                            assert a is None
+                        else:
+                            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_default_geometry(self):
         ds = one_record_dataset()

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from driftcast import model as M
-from driftcast.data import znormalize_rows
+from driftcast.data import InvariantError, znormalize_rows
 from driftcast.nnkernel import AdamState, adam_step
 
 SMALL = dict(
@@ -301,12 +303,11 @@ def test_one_example_overfit():
     cfg = small_config(conv_channels=8, shape_loss_weight=1.0)
     params = M.init_params(cfg, rng)
     X, I, Y = random_batch(cfg, b=1, seed=20)
-    states = {k: AdamState.zeros_like(p, 0.01) for k, p in params.items()}
+    state = AdamState.zeros(len(params.flat), 0.01)
     initial, _ = M.batch_loss_and_grads(params, cfg, X, I, Y, 1.0)
     for _ in range(500):
         _, grads = M.batch_loss_and_grads(params, cfg, X, I, Y, 1.0)
-        for k in params:
-            params[k], states[k] = adam_step(params[k], grads[k], states[k])
+        adam_step(params.flat, grads.flat, state)
     final, _ = M.batch_loss_and_grads(params, cfg, X, I, Y, 1.0)
     assert final < 1e-3 * initial
 
@@ -314,3 +315,76 @@ def test_one_example_overfit():
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError, match="variant"):
         small_config("proposed_gru")
+
+
+class TestWorkspace:
+    """The TCN's activations live in reused per-thread buffers."""
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_outputs_survive_the_next_forward_pass(self, variant):
+        cfg = small_config(variant)
+        params = M.init_params(cfg, np.random.default_rng(2))
+        X, I, _ = random_batch(cfg, b=3, seed=3)
+        out, cache = M.batch_forward(params, cfg, X, I)
+        kept = {k: v.copy() for k, v in out.items()}
+        h_t = cache["h_t"].copy()
+        X2, I2, _ = random_batch(cfg, b=5, seed=4)
+        M.batch_forward(params, cfg, X2, I2)
+        M.batch_loss_and_grads(params, cfg, X2, I2, np.zeros((5, cfg.horizon)), 0.5)
+        for k, v in kept.items():
+            assert out[k].tobytes() == v.tobytes(), k
+        assert cache["h_t"].tobytes() == h_t.tobytes()
+
+    def test_backward_on_a_refilled_cache_raises(self):
+        cfg = small_config()
+        params = M.init_params(cfg, np.random.default_rng(5))
+        X, I, Y = random_batch(cfg, b=2, seed=6)
+        out, cache = M.batch_forward(params, cfg, X, I)
+        grad = np.ones_like(out["m_hat"])
+        M.batch_forward(params, cfg, X[:1], I[:1])        # refills the buffers
+        with pytest.raises(InvariantError, match="overwritten"):
+            M.batch_backward(params, cfg, cache, grad)
+        # and a cache serves one backward pass: it overwrites the buffers
+        _, cache = M.batch_forward(params, cfg, X, I)
+        M.batch_backward(params, cfg, cache, grad)
+        with pytest.raises(InvariantError, match="overwritten"):
+            M.batch_backward(params, cfg, cache, grad)
+
+    def test_gradients_are_a_fresh_flat_vector(self):
+        cfg = small_config()
+        params = M.init_params(cfg, np.random.default_rng(7))
+        X, I, Y = random_batch(cfg, b=2, seed=8)
+        _, g1 = M.batch_loss_and_grads(params, cfg, X, I, Y, 0.5)
+        kept = g1.flat.copy()
+        _, g2 = M.batch_loss_and_grads(params, cfg, X[::-1], I[::-1], Y, 0.5)
+        assert not np.shares_memory(g1.flat, g2.flat)
+        assert g1.flat.tobytes() == kept.tobytes()
+        assert list(g1) == list(params)
+        assert all(g1[n].shape == p.shape for n, p in params.items())
+        assert all(np.shares_memory(g1[n], g1.flat) for n in g1)
+
+    def test_steady_state_step_allocates_little(self):
+        """A desk-shape training step takes its activations from the workspace."""
+        cfg = M.ModelConfig(variant="proposed", n_features=1, interaction_dim=8,
+                            lookback=48, horizon=48, embed_dim=16, conv_channels=16,
+                            kernel_width=3, n_blocks=2, bank_size=8)
+        rng = np.random.default_rng(9)
+        params = M.init_params(cfg, rng)
+        state = AdamState.zeros(len(params.flat), 1e-3)
+        batches = [(rng.normal(size=(128, 48, 1)), rng.uniform(1, 5, size=(128, 8)),
+                    rng.normal(size=(128, 48))) for _ in range(2)]
+
+        def step(X, I, Y):
+            _, grads = M.batch_loss_and_grads(params, cfg, X, I, Y, 0.5)
+            adam_step(params.flat, grads.flat, state)
+
+        step(*batches[0])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step(*batches[1])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the activations alone are 6 buffers of 128 x 48 x 16 doubles, 4.7 MB
+        assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MB"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from driftcast import nnkernel as nn
+from gradcheck import grad_check
 
 
 def check_op_gradient(forward, backward, x, seed=0):
@@ -13,7 +14,7 @@ def check_op_gradient(forward, backward, x, seed=0):
         y = forward(xx)
         return float((y * gy).sum()), backward(xx, gy)
 
-    return nn.grad_check(f, x)
+    return grad_check(f, x)
 
 
 # --------------------------------------------------------------------------
@@ -280,24 +281,48 @@ class TestGlobalAvgPool:
         )
         assert err < 1e-6
 
+    def test_through_relu_is_relu_backward_of_the_pool_gradient(self):
+        rng = np.random.default_rng(18)
+        r = nn.relu(rng.normal(size=(4, 7, 3)))
+        g = rng.normal(size=(4, 3))
+        g[0, 0] = -1.5                   # masked negatives give -0.0, as grad * mask does
+        expected = nn.relu_backward(r, nn.global_avg_pool_time_backward(r, g))
+        got = nn.global_avg_pool_time_backward(r, g, through_relu=True)
+        assert got.tobytes() == expected.tobytes()
+        buf = r.copy()
+        out = nn.global_avg_pool_time_backward(buf, g, through_relu=True, out=buf)
+        assert out is buf and buf.tobytes() == expected.tobytes()
+
+
+def adam_step_per_array(param, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-array Adam update the fused one replaced: the reference.
+
+    Returns (new_param, m, v) after step t (1-based), allocating every result.
+    """
+    m = b1 * m + (1 - b1) * grad
+    v = b2 * v + (1 - b2) * grad * grad
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
 
 class TestAdam:
     def test_first_step_magnitude(self):
         p = np.array([1.0])
         g = np.array([0.5])
-        state = nn.AdamState.zeros_like(p, learning_rate=1e-3)
-        p2, state2 = nn.adam_step(p, g, state)
-        delta = float(p[0] - p2[0])
+        state = nn.AdamState.zeros(1, learning_rate=1e-3)
+        nn.adam_step(p, g, state)
+        delta = float(1.0 - p[0])
         # closed form: lr * |g| / (|g| + eps)
         assert delta == pytest.approx(1e-3 * 0.5 / (0.5 + 1e-8), abs=1e-15)
         assert delta > 0  # moved against the positive gradient
-        assert state2.step_count == 1
+        assert state.step_count == 1
 
     def test_zero_gradient_no_move(self):
         p = np.array([1.0, -2.0])
-        state = nn.AdamState.zeros_like(p, learning_rate=0.1)
-        p2, _ = nn.adam_step(p, np.zeros(2), state)
-        np.testing.assert_array_equal(p, p2)
+        state = nn.AdamState.zeros(2, learning_rate=0.1)
+        nn.adam_step(p, np.zeros(2), state)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_quadratic_descent_matches_scalar_recursion(self):
         # independent scalar recursion of the same update rule
@@ -310,26 +335,83 @@ class TestAdam:
             p_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
         p = np.array([1.0])
-        state = nn.AdamState.zeros_like(p, learning_rate=lr)
+        state = nn.AdamState.zeros(1, learning_rate=lr)
         for _ in range(100):
-            p, state = nn.adam_step(p, 2 * p, state)
+            nn.adam_step(p, 2 * p, state)
         assert abs(float(p[0])) < 1.0
         assert float(p[0]) == pytest.approx(p_ref, abs=1e-12)
 
     def test_non_finite_gradient_fails_fast(self):
-        p = np.array([1.0])
-        state = nn.AdamState.zeros_like(p, learning_rate=0.1)
-        with pytest.raises(ValueError, match="non-finite"):
-            nn.adam_step(p, np.array([np.nan]), state)
+        p = np.array([1.0, 2.0])
+        state = nn.AdamState.zeros(2, learning_rate=0.1)
+        nn.adam_step(p, np.array([0.5, -0.5]), state)
+        before = (p.copy(), state.first_moment.copy(), state.second_moment.copy())
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                nn.adam_step(p, np.array([0.1, bad]), state)
+        # nothing was updated
+        for now, then in zip((p, state.first_moment, state.second_moment), before):
+            np.testing.assert_array_equal(now, then)
+        assert state.step_count == 1
+
+    def test_shape_mismatch_rejected(self):
+        state = nn.AdamState.zeros(3, learning_rate=0.1)
+        with pytest.raises(ValueError, match="unlike param"):
+            nn.adam_step(np.zeros(2), np.zeros(2), state)
+
+    def test_fused_equals_per_array_oracle(self):
+        """One update of a flat vector is, bit for bit, one per piece of it."""
+        rng = np.random.default_rng(21)
+        shapes = [("a", (3, 4, 2)), ("b", (5,)), ("c", (7, 3)), ("d", (1,))]
+        params = nn.FlatViews.empty(shapes)
+        params.flat[:] = rng.normal(size=len(params.flat))
+        ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p))
+               for name, p in params.items()}
+        state = nn.AdamState.zeros(len(params.flat), learning_rate=3e-3)
+        for t in range(1, 51):
+            grads = params.over(rng.normal(size=len(params.flat)) * 10.0 ** rng.integers(-6, 3))
+            if t % 7 == 0:
+                grads.flat[:] = 0.0                # an all-zero gradient
+            grads["c"][rng.random(grads["c"].shape) < 0.3] = 0.0
+            nn.adam_step(params.flat, grads.flat, state)
+            for name, (p_ref, m_ref, v_ref) in ref.items():
+                ref[name] = adam_step_per_array(p_ref, grads[name], m_ref, v_ref, t, 3e-3)
+            m, v = params.over(state.first_moment), params.over(state.second_moment)
+            for name, (p_ref, m_ref, v_ref) in ref.items():
+                assert params[name].tobytes() == p_ref.tobytes(), (t, name)
+                assert m[name].tobytes() == m_ref.tobytes(), (t, name)
+                assert v[name].tobytes() == v_ref.tobytes(), (t, name)
+        assert state.step_count == 50
+
+
+class TestFlatViews:
+    def test_views_cover_the_vector_in_order(self):
+        flat = np.arange(10.0)
+        views = nn.FlatViews(flat, [("w", (2, 3)), ("b", (4,))])
+        assert list(views) == ["w", "b"]
+        np.testing.assert_array_equal(views["w"], [[0, 1, 2], [3, 4, 5]])
+        views["b"][...] = -1.0
+        np.testing.assert_array_equal(flat[6:], -1.0)
+        other = views.over(np.zeros(10))
+        assert [a.shape for a in other.values()] == [(2, 3), (4,)]
+        assert np.shares_memory(other["w"], other.flat)
+
+    def test_length_must_match_the_layout(self):
+        with pytest.raises(ValueError, match="layout"):
+            nn.FlatViews(np.zeros(9), [("w", (2, 3)), ("b", (4,))])
+        with pytest.raises(ValueError, match="layout"):
+            nn.FlatViews(np.zeros((2, 5)), [("w", (10,))])
+        with pytest.raises(ValueError, match="layout"):
+            nn.FlatViews(np.zeros(20)[::2], [("w", (10,))])
 
 
 class TestGradCheck:
     def test_sum_function(self):
-        err = nn.grad_check(lambda x: (x.sum(), np.ones_like(x)), np.arange(5.0))
+        err = grad_check(lambda x: (x.sum(), np.ones_like(x)), np.arange(5.0))
         assert err < 1e-10
 
     def test_zero_function(self):
-        err = nn.grad_check(lambda x: (0.0, np.zeros_like(x)), np.arange(3.0))
+        err = grad_check(lambda x: (0.0, np.zeros_like(x)), np.arange(3.0))
         assert err == 0.0
 
     def test_composed_network(self):
@@ -347,8 +429,8 @@ class TestGradCheck:
             gx, _, _ = nn.dense_backward(x, W1, ga1)
             return float(y.sum()), gx
 
-        assert nn.grad_check(f, rng.normal(size=4)) < 1e-6
+        assert grad_check(f, rng.normal(size=4)) < 1e-6
 
     def test_wrong_gradient_is_caught(self):
-        err = nn.grad_check(lambda x: (float((x**2).sum()), x), np.array([1.0, 2.0]))
+        err = grad_check(lambda x: (float((x**2).sum()), x), np.array([1.0, 2.0]))
         assert err > 1e-2

@@ -273,6 +273,14 @@ class TestMatrixProfileIndex:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             matrix_profile_index(np.arange(19.0), 10)
+        # long enough for two windows, but the middle window has no neighbour
+        # outside its exclusion zone
+        rng = np.random.default_rng(11)
+        for n, m, shortest in ((6, 3, 8), (7, 3, 8), (14, 7, 16), (15, 7, 16), (8, 4, 9)):
+            with pytest.raises(ValueError, match=f"series length {n} must be at least"):
+                matrix_profile_index(rng.normal(size=n), m)
+            mpi = matrix_profile_index(rng.normal(size=shortest), m)
+            assert len(mpi.nn_index) == shortest - m + 1
 
     def test_exclusion_invariant(self):
         rng = np.random.default_rng(6)

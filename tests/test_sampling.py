@@ -265,6 +265,24 @@ class TestCombine:
 
 
 class TestSampleBatch:
+    def test_matches_rng_choice(self):
+        """Same indices and generator state as ``rng.choice(p=)``, the reference."""
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 17, 1000):
+            cands = single_entity_candidates(range(n))
+            raw = rng.random(n) * (rng.random(n) < 0.7)    # some zero weights
+            raw[rng.integers(n)] = 1.0
+            for w in (S.uniform_weights(cands), S.CandidateWeights(cands, raw / raw.sum())):
+                for seed in (0, 1, 2, 3):
+                    for size in (1, 5, 128, 3001):
+                        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                        first = S.sample_batch(w, size, ours)
+                        second = S.sample_batch(w, size, ours)     # the cached cdf
+                        for batch in (first, second):
+                            idx = ref.choice(n, size=size, replace=True, p=w.weights)
+                            np.testing.assert_array_equal(batch.anchors, idx)
+                        assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_degenerate_weights(self):
         cands = single_entity_candidates([7, 8])
         w = S.CandidateWeights(cands, np.array([1.0, 0.0]))

@@ -125,6 +125,28 @@ class TestTrainOffline:
         assert params_equal(s1.params, s2.params)
         assert s1.final_train_loss == s2.final_train_loss
 
+    def test_state_is_three_flat_vectors(self, dataset):
+        mc = tiny_model_cfg(dataset)
+        state = T.train_offline(dataset, mc, tiny_train_cfg())
+        flat, opt = state.params.flat, state.optimizer
+        assert list(state.params) == [name for name, _, _ in M._param_specs(mc)]
+        assert all(np.shares_memory(p, flat) for p in state.params.values())
+        assert opt.first_moment.shape == opt.second_moment.shape == flat.shape
+        batches = -(-len(T.build_candidates(dataset, label_cutoff(10, HORIZON, dataset.hours),
+                                            HORIZON)) // 32)
+        assert opt.step_count == 2 * batches
+        adam = state.adam
+        assert list(adam) == list(state.params)
+        for name, rec in adam.items():
+            assert np.shares_memory(rec.first_moment, opt.first_moment)
+            assert np.shares_memory(rec.second_moment, opt.second_moment)
+            assert rec.first_moment.shape == state.params[name].shape
+            assert (rec.step_count, rec.learning_rate) == (opt.step_count, opt.learning_rate)
+            with pytest.raises(ValueError, match="read-only"):
+                rec.first_moment[...] = 0.0
+        with pytest.raises(TypeError):
+            adam["embed.C"] = None
+
     def test_loss_decreases(self, dataset):
         mc = tiny_model_cfg(dataset)
         one = T.train_offline(dataset, mc, tiny_train_cfg(offline_epochs=1))
@@ -299,6 +321,44 @@ class TestPredictionLog:
         with pytest.raises(KeyError, match="zz"):
             E.read_predictions(path, dataset)
 
+    def test_actuals_must_be_the_metric_before_one_cutoff(self, dataset, tmp_path):
+        path = tmp_path / "pred.csv"
+        _, state = T.run_simulation(dataset, tiny_model_cfg(dataset), tiny_train_cfg(), n_days=4)
+        labeled_end = label_cutoff(state.current_day, HORIZON, dataset.hours)
+        for end in (labeled_end, dataset.hours):        # partly and wholly filled
+            state.log.write_csv(path, dataset, HORIZON, end)
+            E.read_predictions(path, dataset)
+        state.log.write_csv(path, dataset, HORIZON, labeled_end)
+        header, *rows = path.read_text().splitlines()
+        parts = [r.split(",") for r in rows]
+        filled = [i for i, p in enumerate(parts) if p[4]]
+        assert 0 < len(filled) < len(rows)
+
+        def written(parts_):
+            path.write_text("\n".join([header] + [",".join(p) for p in parts_]) + "\n")
+
+        def edited(i, value):
+            out = [list(p) for p in parts]
+            out[i][4] = value
+            return out
+
+        last = max(range(len(rows)), key=lambda i: int(parts[i][0]) * 24 + int(parts[i][2]))
+        last_hour = int(parts[last][0]) * HOURS_PER_DAY + int(parts[last][2])
+        true_last = repr(float(dataset.record(parts[last][1]).metric[last_hour]))
+        one_ulp = repr(float(np.nextafter(float(parts[filled[0]][4]), np.inf)))
+        cases = [
+            ([p[:4] + ["1.0"] for p in parts], "not the dataset's metric"),
+            (edited(filled[0], one_ulp), "not the dataset's metric"),
+            (edited(last, true_last), "past the first unfilled hour"),
+            (edited(filled[-1], ""), "past the first unfilled hour"),
+            (edited(filled[0], "nan"), "not the dataset's metric"),
+            (edited(last, "x"), "past the first unfilled hour"),
+        ]
+        for body, message in cases:
+            written(body)
+            with pytest.raises(ValueError, match=message):
+                E.read_predictions(path, dataset)
+
     def test_append_day_keeps_day_major_arrays(self):
         log = T.PredictionLog()
         log.append_day(3, [2, 0], np.arange(8.0).reshape(2, 4))
@@ -426,7 +486,8 @@ class TestCheckpoint:
         state = T.train_offline(dataset, mc, tc)
         path = tmp_path / "ok.bin"
         T.save_checkpoint(state, path, mc, tc)
-        for version in (1, 2, 99):  # 2: the format before profile/nn
+        # 2: the format before profile/nn; 3: before the flat parameter vectors
+        for version in (1, 2, 3, 99):
             raw = bytearray(path.read_bytes()[:-32])
             off = len(T.CKPT_MAGIC)
             raw[off : off + 4] = version.to_bytes(4, "little")
@@ -471,3 +532,19 @@ class TestCheckpoint:
                 T.load_checkpoint(resealed(dict(header, arrays=bad_table), data))
         with pytest.raises(T.CheckpointIntegrityError, match="'gamma'"):
             T.load_checkpoint(resealed(without_gamma))
+
+        # the flat vectors: params, adam_m, adam_v, each n float64 values
+        assert [key for key, _, _ in table[:3]] == ["params", "adam_m", "adam_v"]
+        n = len(state.params.flat)
+        assert all(shape == [n] for _, _, shape in table[:3])
+        for which, message in ((0, "does not fit the model"), (1, "differ in length")):
+            shorter = [list(entry) for entry in table]
+            shorter[which][2] = [n - 1]
+            cut = 8 * (which * n + n - 1)
+            with pytest.raises(T.CheckpointIntegrityError, match=message):
+                T.load_checkpoint(resealed(dict(header, arrays=shorter),
+                                           arrays[:cut] + arrays[cut + 8 :]))
+        as_ints = [list(entry) for entry in table]
+        as_ints[2][1] = "<i8"
+        with pytest.raises(T.CheckpointIntegrityError, match="dtype"):
+            T.load_checkpoint(resealed(dict(header, arrays=as_ints)))
