@@ -211,12 +211,15 @@ class Dataset:
         """Every record's (features, interactions, metric), stacked by entity.
 
         Shapes (entities, hours, d), (entities, days, k) and (entities,
-        hours); built on first use and read-only.
+        hours); built on first use and read-only.  The records' arrays then
+        become rows of them, so the series are held once.
         """
-        arrays = tuple(np.stack([getattr(r, name) for r in self.records])
-                       for name in ("features", "interactions", "metric"))
-        for a in arrays:
-            a.flags.writeable = False
+        names = ("features", "interactions", "metric")
+        arrays = tuple(_readonly(np.stack([getattr(r, name) for r in self.records]))
+                       for name in names)
+        for i, r in enumerate(self.records):
+            for name, a in zip(names, arrays):
+                object.__setattr__(r, name, a[i])
         return arrays
 
     def record(self, entity_id: str) -> EntityRecord:

@@ -105,11 +105,12 @@ def read_predictions(
     if not body.strip():
         return log, range(0)
     # Without usecols, np.loadtxt rejects a row whose field count is not the
-    # dtype's 5; only the first character of an actual value is kept.
+    # dtype's 5.  Actual values stay text (str objects, as cheap to read as
+    # a one-character field when empty) until _check_actuals.
     rows = np.loadtxt(
         io.StringIO(body), delimiter=",", comments=None, ndmin=1,
         dtype=[("day", "<i8"), ("entity", object), ("offset", "<i8"), ("pred", "<f8"),
-               ("actual", "U1")],
+               ("actual", object)],
     )
     days, entities, offs = rows["day"], rows["entity"], rows["offset"]
     changed = (days[1:] != days[:-1]) | (entities[1:] != entities[:-1])
@@ -132,16 +133,18 @@ def read_predictions(
     log.days = days[bounds[:-1]]
     log.entity_idx = np.array([dataset.entity_index(e) for _, e in keys], dtype=np.int64)
     log.preds = np.ascontiguousarray(rows["pred"].reshape(-1, len(want)))
-    _check_actuals(path, dataset, body, np.repeat(log.entity_idx, len(want)),
-                   days * HOURS_PER_DAY + offs, rows["actual"] != "")
+    _check_actuals(path, dataset, rows["actual"], np.repeat(log.entity_idx, len(want)),
+                   days * HOURS_PER_DAY + offs)
     return log, offsets
 
 
-def _check_actuals(path, dataset: Dataset, body: str, entity_idx, hours, filled) -> None:
+def _check_actuals(path, dataset: Dataset, text, entity_idx, hours) -> None:
     """Raise ValueError unless the filled actuals are the metric before one cutoff.
 
-    The values are parsed only when some row has one.
+    ``text`` holds each row's actual field; only the filled ones are
+    converted to numbers.
     """
+    filled = text != ""
     if not filled.any():
         return
     last_filled = hours[filled].max()
@@ -151,9 +154,10 @@ def _check_actuals(path, dataset: Dataset, body: str, entity_idx, hours, filled)
             f"{path}: actual values are filled at hour {int(last_filled)}, past the "
             f"first unfilled hour {int(first_empty)} or outside the series"
         )
-    # an empty field reads as NaN, which is not a finite metric value
-    actual = np.loadtxt(io.StringIO((body + "\n").replace(",\n", ",nan\n")),
-                        delimiter=",", comments=None, usecols=4, ndmin=1)[filled]
+    try:
+        actual = text[filled].astype(np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     truth = dataset.stacked[2][entity_idx[filled], hours[filled]]
     wrong = np.flatnonzero(truth.view(np.int64) != actual.view(np.int64))
     if len(wrong):

@@ -141,37 +141,45 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> FlatViews:
 # --------------------------------------------------------------------------
 
 
-def _tcn_forward(params, cfg: ModelConfig, X):
+def _tcn_forward(params, cfg: ModelConfig, X, ws):
     """Temporal encoder; the backward cache holds each block's input and ReLU outputs.
 
-    Conv and sum outputs go into the workspace's per-block buffers, and the
-    ReLUs are taken there in place; ``relu_backward`` is given the ReLU
-    outputs as its mask, since relu(a) > 0 exactly where a > 0.  Only the
-    pooled ``h_t`` is a fresh array.
+    Conv and sum outputs go into the workspace ``ws``'s per-block buffers,
+    and the ReLUs are taken there in place; ``relu_backward`` is given the
+    ReLU outputs as its mask, since relu(a) > 0 exactly where a > 0.  Only
+    the pooled ``h_t`` is a fresh array.  With ``ws`` None no backward pass
+    follows: the outputs are fresh arrays, freed as the pass moves on and
+    not cached, so a large inference batch does not grow the workspace.
     """
-    ws = workspace()
-    ws.generation += 1
     shape = (*X.shape[:-1], cfg.conv_channels)
+    if ws is not None:
+        ws.generation += 1
+
+    def buf(key):
+        return None if ws is None else ws.get(key, shape)
+
     out = X
     blocks = []
     for blk in range(cfg.n_blocks):
         xin = out
         r1 = conv1d_causal(xin, params[f"tcn{blk}.conv1.K"], params[f"tcn{blk}.conv1.b"],
-                           out=ws.get(f"tcn{blk}.r1", shape))
+                           out=buf(f"tcn{blk}.r1"))
         relu(r1, out=r1)
         r2 = conv1d_causal(r1, params[f"tcn{blk}.conv2.K"], params[f"tcn{blk}.conv2.b"],
-                           out=ws.get(f"tcn{blk}.r2", shape))
+                           out=buf(f"tcn{blk}.r2"))
         relu(r2, out=r2)
-        s = ws.get(f"tcn{blk}.out", shape)
         if blk == 0:
-            conv1d_causal(xin, params["tcn0.res.K"], params["tcn0.res.b"], out=s)
+            s = conv1d_causal(xin, params["tcn0.res.K"], params["tcn0.res.b"],
+                              out=buf(f"tcn{blk}.out"))
             s += r2
         else:
-            np.add(r2, xin, out=s)
+            s = np.add(r2, xin, out=buf(f"tcn{blk}.out"))
         out = relu(s, out=s)
-        blocks.append((xin, r1, r2, out))
+        if ws is not None:
+            blocks.append((xin, r1, r2, out))
     h_t = global_avg_pool_time(out)
-    return h_t, {"blocks": blocks, "workspace": ws, "generation": ws.generation}
+    return h_t, {"blocks": blocks, "workspace": ws,
+                 "generation": None if ws is None else ws.generation}
 
 
 def _tcn_backward(params, cfg: ModelConfig, cache, grad_ht, grads: FlatViews) -> None:
@@ -183,6 +191,7 @@ def _tcn_backward(params, cfg: ModelConfig, cache, grad_ht, grads: FlatViews) ->
     buffers were refilled by a later pass.
     """
     ws = cache["workspace"]
+    require(ws is not None, "the forward pass was run without a backward cache")
     require(ws is workspace() and ws.generation == cache["generation"],
             "the TCN cache was overwritten: run a backward pass on this thread "
             "before the next forward pass")
@@ -190,7 +199,7 @@ def _tcn_backward(params, cfg: ModelConfig, cache, grad_ht, grads: FlatViews) ->
     blocks = cache["blocks"]
     top = len(blocks) - 1
     out = blocks[top][3]
-    g = global_avg_pool_time_backward(out, grad_ht, through_relu=True, out=out)
+    g = relu_backward(out, global_avg_pool_time_backward(out, grad_ht), out=out)
     for blk in reversed(range(cfg.n_blocks)):
         xin, r1, r2, out = blocks[blk]
         gs = g if blk == top else relu_backward(out, g, out=g)
@@ -232,15 +241,18 @@ def _mlp2_backward(params, prefix, cache, grad_out, relu_out: bool, grads: FlatV
                           out=(None, grads[f"{prefix}1.W"], grads[f"{prefix}1.b"]))[0]
 
 
-def batch_forward(params, cfg: ModelConfig, X: np.ndarray, I: np.ndarray):
+def batch_forward(params, cfg: ModelConfig, X: np.ndarray, I: np.ndarray,
+                  for_backward: bool = True):
     """Forward pass on a batch; returns (outputs dict, cache for backward).
 
     X is (B, lookback, n_features); I is (B, interaction_dim).  The outputs
     and the cached ``h_t`` are fresh arrays; the rest of the TCN cache lives
-    in the workspace (see ``batch_backward``).
+    in the workspace (see ``batch_backward``).  With ``for_backward=False``
+    the pass leaves the workspace alone and its cache serves no backward
+    pass.
     """
     b = X.shape[0]
-    h_t, tcn_cache = _tcn_forward(params, cfg, X)
+    h_t, tcn_cache = _tcn_forward(params, cfg, X, workspace() if for_backward else None)
     cache: dict = {"tcn": tcn_cache, "h_t": h_t}
     if cfg.variant == "base":
         m_hat = dense(h_t, params["head.W"], params["head.b"])
@@ -358,7 +370,7 @@ def loss_errors(m_hat: np.ndarray, shape: np.ndarray | None, Y: np.ndarray):
 
 def batch_losses(params, cfg: ModelConfig, X, I, Y, gamma: float) -> np.ndarray:
     """Per-example loss values (no gradients)."""
-    out, _ = batch_forward(params, cfg, X, I)
+    out, _ = batch_forward(params, cfg, X, I, for_backward=False)
     err, serr = loss_errors(out["m_hat"], out.get("shape"), Y)
     losses = (err * err).mean(axis=1)
     if serr is not None:
@@ -385,5 +397,5 @@ def batch_loss_and_grads(params, cfg: ModelConfig, X, I, Y, gamma: float):
 
 
 def batch_predict(params, cfg: ModelConfig, X, I) -> np.ndarray:
-    out, _ = batch_forward(params, cfg, X, I)
+    out, _ = batch_forward(params, cfg, X, I, for_backward=False)
     return out["m_hat"]

@@ -350,6 +350,22 @@ class TestWorkspace:
         with pytest.raises(InvariantError, match="overwritten"):
             M.batch_backward(params, cfg, cache, grad)
 
+    def test_inference_passes_leave_the_cache_alone(self):
+        cfg = small_config()
+        params = M.init_params(cfg, np.random.default_rng(9))
+        X, I, _ = random_batch(cfg, b=2, seed=10)
+        out, cache = M.batch_forward(params, cfg, X, I)
+        grad = np.ones_like(out["m_hat"])
+        expected = M.batch_backward(params, cfg, cache, grad).flat.copy()
+        _, cache = M.batch_forward(params, cfg, X, I)
+        X2, I2, Y2 = random_batch(cfg, b=7, seed=11)    # larger than the cached batch
+        M.batch_predict(params, cfg, X2, I2)
+        M.batch_losses(params, cfg, X2, I2, Y2, 0.5)
+        assert M.batch_backward(params, cfg, cache, grad).flat.tobytes() == expected.tobytes()
+        _, cache = M.batch_forward(params, cfg, X, I, for_backward=False)
+        with pytest.raises(InvariantError, match="without a backward cache"):
+            M.batch_backward(params, cfg, cache, grad)
+
     def test_gradients_are_a_fresh_flat_vector(self):
         cfg = small_config()
         params = M.init_params(cfg, np.random.default_rng(7))

@@ -281,16 +281,16 @@ class TestGlobalAvgPool:
         )
         assert err < 1e-6
 
-    def test_through_relu_is_relu_backward_of_the_pool_gradient(self):
+    def test_pool_gradient_masked_in_place_over_the_relu_output(self):
+        # the TCN's top block: the pooling gradient taken through the ReLU,
+        # written over the ReLU output that the mask is read from
         rng = np.random.default_rng(18)
         r = nn.relu(rng.normal(size=(4, 7, 3)))
         g = rng.normal(size=(4, 3))
         g[0, 0] = -1.5                   # masked negatives give -0.0, as grad * mask does
-        expected = nn.relu_backward(r, nn.global_avg_pool_time_backward(r, g))
-        got = nn.global_avg_pool_time_backward(r, g, through_relu=True)
-        assert got.tobytes() == expected.tobytes()
+        expected = np.broadcast_to((g / 7)[:, None, :], r.shape) * (r > 0)
         buf = r.copy()
-        out = nn.global_avg_pool_time_backward(buf, g, through_relu=True, out=buf)
+        out = nn.relu_backward(buf, nn.global_avg_pool_time_backward(buf, g), out=buf)
         assert out is buf and buf.tobytes() == expected.tobytes()
 
 

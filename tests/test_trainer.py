@@ -353,6 +353,9 @@ class TestPredictionLog:
             (edited(filled[-1], ""), "past the first unfilled hour"),
             (edited(filled[0], "nan"), "not the dataset's metric"),
             (edited(last, "x"), "past the first unfilled hour"),
+            (edited(filled[0], "x"), "could not convert"),
+            (edited(filled[0], format(float(parts[filled[0]][4]), ".40f") + "e1"),
+             "not the dataset's metric"),
         ]
         for body, message in cases:
             written(body)
