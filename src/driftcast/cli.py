@@ -27,7 +27,7 @@ from . import evaluation as eval_mod
 from .data import DatasetError, HorizonConfig, label_cutoff, load_dataset
 from .model import ModelConfig
 from .profiles import curve_from_arc_sum, summed_arc_curve
-from .sampling import NONTEMPORAL_SCHEMES, TEMPORAL_SCHEMES, parse_scheme
+from .sampling import parse_scheme
 from .synthgen import GenConfig, generate
 from .trainer import (
     CheckpointIntegrityError,
@@ -143,28 +143,11 @@ def _train_cfg_from(config: dict) -> TrainConfig:
     return TrainConfig(horizon=_horizon_from(config), **config["train"])
 
 
-def _model_cfg_from(config: dict, dataset, horizon: HorizonConfig) -> ModelConfig:
-    return ModelConfig(
-        n_features=dataset.n_features,
-        interaction_dim=dataset.interaction_dim,
-        lookback=horizon.lookback,
-        horizon=horizon.horizon,
-        **config["model"],
-    )
-
-
-def _validate_scheme(text: str) -> str:
-    if text == "frozen":
-        return text
+def _validate_scheme(text: str) -> None:
     try:
         parse_scheme(text)
     except ValueError as err:
-        raise UsageError(
-            f"{err}\nvalid temporal rules: {', '.join(TEMPORAL_SCHEMES)} "
-            f"(fixed as fixedN, e.g. fixed90)\n"
-            f"valid non-temporal rules: {', '.join(NONTEMPORAL_SCHEMES)}"
-        ) from err
-    return text
+        raise UsageError(str(err)) from err
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +183,7 @@ def _cmd_train_offline(args, config) -> int:
     dataset = load_dataset(args.data)
     horizon = _horizon_from(config)
     train_cfg = _train_cfg_from(config)
-    model_cfg = _model_cfg_from(config, dataset, horizon)
+    model_cfg = ModelConfig.for_data(dataset, horizon, **config["model"])
     state = train_offline(dataset, model_cfg, train_cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -226,7 +209,7 @@ def _cmd_run_online(args, config) -> int:
             f"config model {config['model']} disagrees with the checkpoint's {model}"
         )
     if args.scheme is not None:
-        train_cfg = replace(train_cfg, scheme=_validate_scheme(args.scheme))
+        train_cfg = replace(train_cfg, scheme=args.scheme)
     if state.current_day + args.days > dataset.days:
         raise ConfigError(
             f"cannot run {args.days} days from day {state.current_day}: "

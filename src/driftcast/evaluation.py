@@ -243,14 +243,6 @@ class BenchmarkResult:
             table.write_csv(out / f"ranks_{metric}.csv")
 
 
-def _scheme_parts(scheme: str) -> tuple[str, str]:
-    if scheme == "frozen":
-        return "frozen", "frozen"
-    spec = parse_scheme(scheme)
-    temporal = f"fixed{spec.fixed_days}" if spec.temporal == "fixed" else spec.temporal
-    return temporal, spec.nontemporal
-
-
 def benchmark(
     dataset: Dataset,
     variants: list[str],
@@ -269,21 +261,20 @@ def benchmark(
         raise ValueError("benchmark needs at least 2 variants and 2 schemes")
     model_kwargs = model_kwargs or {}
     horizon = train_cfg.horizon
+    # Every scheme is checked before the first training.
+    cfgs = [replace(train_cfg, scheme=scheme) for scheme in schemes]
+    labels = [parse_scheme(scheme).labels for scheme in schemes]
+    temporal_labels = list(dict.fromkeys(t for t, _ in labels))
+    nontemporal_labels = list(dict.fromkeys(nt for _, nt in labels))
     rows = []
     metrics_by_variant: dict[str, dict[str, MetricReport]] = {}
     for variant in variants:
-        model_cfg = model_mod.ModelConfig(
-            variant=variant,
-            n_features=dataset.n_features,
-            interaction_dim=dataset.interaction_dim,
-            lookback=horizon.lookback,
-            horizon=horizon.horizon,
-            **model_kwargs,
+        model_cfg = model_mod.ModelConfig.for_data(
+            dataset, horizon, variant=variant, **model_kwargs
         )
         offline = trainer_mod.train_offline(dataset, model_cfg, train_cfg)
         metrics_by_variant[variant] = {}
-        for scheme in schemes:
-            cfg = replace(train_cfg, scheme=scheme)
+        for scheme, cfg, (temporal, nontemporal) in zip(schemes, cfgs, labels):
             try:
                 log, _ = trainer_mod.run_simulation(
                     dataset, model_cfg, cfg, n_days, offline_state=offline
@@ -295,7 +286,6 @@ def benchmark(
             preds, truths = windows_from_log(log, dataset, horizon)
             report = compute_metrics(preds, truths)
             metrics_by_variant[variant][scheme] = report
-            temporal, nontemporal = _scheme_parts(scheme)
             rows.append(
                 {
                     "variant": variant,
@@ -321,16 +311,8 @@ def benchmark(
             )
             avg += _average_ranks(values, larger_is_better=larger)
         avg /= len(variants)
-        temporal_labels, nontemporal_labels = [], []
-        for scheme in schemes:
-            t, nt = _scheme_parts(scheme)
-            if t not in temporal_labels:
-                temporal_labels.append(t)
-            if nt not in nontemporal_labels:
-                nontemporal_labels.append(nt)
         cells = np.full((len(nontemporal_labels), len(temporal_labels)), np.nan)
-        for scheme, rank in zip(schemes, avg):
-            t, nt = _scheme_parts(scheme)
+        for (t, nt), rank in zip(labels, avg):
             cells[nontemporal_labels.index(nt), temporal_labels.index(t)] = rank
         tables[metric] = RankTable(
             metric=metric,

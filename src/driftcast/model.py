@@ -72,6 +72,17 @@ class ModelConfig:
         if isinstance(self.shape_loss_weight, str) and self.shape_loss_weight != "auto":
             raise ValueError("shape_loss_weight must be a number or 'auto'")
 
+    @classmethod
+    def for_data(cls, dataset, horizon, **model_kwargs) -> "ModelConfig":
+        """The model whose inputs are ``dataset``'s and whose windows are ``horizon``'s."""
+        return cls(
+            n_features=dataset.n_features,
+            interaction_dim=dataset.interaction_dim,
+            lookback=horizon.lookback,
+            horizon=horizon.horizon,
+            **model_kwargs,
+        )
+
 
 # --------------------------------------------------------------------------
 # Parameters

@@ -1,11 +1,13 @@
 """Candidate weighting for mini-batch selection during online updates.
 
-A scheme pairs one temporal rule (uniform, fixed window, linear decay, or
-segmentation-driven) with one non-temporal rule (uniform, similarity to the
-current input window, or rankings from cached errors / error dynamics).  The
-two weight vectors are combined by elementwise product and renormalized, and
-batches are drawn with replacement from the resulting categorical
-distribution.
+This module owns the scheme vocabulary: ``parse_scheme`` turns a scheme
+string into a ``SchemeSpec``, which says what the scheme needs and how it is
+labelled.  A scheme pairs one temporal rule (uniform, fixed window, linear
+decay, or segmentation-driven) with one non-temporal rule (uniform,
+similarity to the current input window, or rankings from cached errors /
+error dynamics); ``frozen`` instead keeps the offline model.  The two weight
+vectors are combined by elementwise product and renormalized, and batches
+are drawn with replacement from the resulting categorical distribution.
 
 Error-based rules operate on a persistent evaluation subsample whose
 per-candidate losses are refreshed once per simulated day; a short ring
@@ -28,15 +30,20 @@ from .profiles import mass
 logger = logging.getLogger(__name__)
 
 TEMPORAL_SCHEMES = ("uniform", "fixed", "decay", "segment")
-NONTEMPORAL_SCHEMES = (
-    "uniform",
-    "similar",
+ERROR_SCHEMES = (
     "high_error",
     "low_error",
     "high_confidence",
     "low_confidence",
     "high_variability",
     "low_variability",
+)
+NONTEMPORAL_SCHEMES = ("uniform", "similar", *ERROR_SCHEMES)
+FROZEN = "frozen"   # the scheme that keeps the offline model: no online update
+VOCABULARY = (
+    f"a scheme is {FROZEN!r} or 'temporal:nontemporal' with temporal one of "
+    f"{', '.join(TEMPORAL_SCHEMES)} (fixed as fixedN, e.g. fixed120) and "
+    f"non-temporal one of {', '.join(NONTEMPORAL_SCHEMES)}"
 )
 DECAY_EPS = 1e-6
 SIMILAR_EPS = 1e-6
@@ -45,38 +52,47 @@ _KEY_BASE = np.int64(1) << np.int64(40)
 
 @dataclass(frozen=True)
 class SchemeSpec:
+    """A temporal and a non-temporal rule, or ``frozen`` as both."""
+
     temporal: str
     nontemporal: str
     fixed_days: int | None = None
 
     def __post_init__(self) -> None:
-        if self.temporal not in TEMPORAL_SCHEMES:
-            raise ValueError(
-                f"unknown temporal scheme {self.temporal!r}; valid: {TEMPORAL_SCHEMES}"
-            )
-        if self.nontemporal not in NONTEMPORAL_SCHEMES:
-            raise ValueError(
-                f"unknown non-temporal scheme {self.nontemporal!r}; "
-                f"valid: {NONTEMPORAL_SCHEMES}"
-            )
+        if (self.temporal, self.nontemporal, self.fixed_days) == (FROZEN, FROZEN, None):
+            return
+        if self.temporal not in TEMPORAL_SCHEMES or self.nontemporal not in NONTEMPORAL_SCHEMES:
+            raise ValueError(f"unknown rule in {':'.join(self.labels)}; {VOCABULARY}")
         if self.temporal == "fixed" and (self.fixed_days is None or self.fixed_days <= 0):
             raise ValueError("fixed temporal scheme needs fixed_days > 0")
 
     @property
-    def label(self) -> str:
+    def frozen(self) -> bool:
+        return self.temporal == FROZEN
+
+    @property
+    def reads_errors(self) -> bool:
+        """Whether the non-temporal rule ranks the error cache."""
+        return self.nontemporal in ERROR_SCHEMES
+
+    @property
+    def labels(self) -> tuple[str, str]:
+        """(temporal, non-temporal) as written in a scheme, ``fixedN`` included."""
         t = f"fixed{self.fixed_days}" if self.temporal == "fixed" else self.temporal
-        return f"{t}:{self.nontemporal}"
+        return t, self.nontemporal
+
+    @property
+    def label(self) -> str:
+        return FROZEN if self.frozen else ":".join(self.labels)
 
 
 def parse_scheme(text: str) -> SchemeSpec:
-    """Parse ``temporal:nontemporal`` strings such as ``segment:similar``."""
+    """Parse ``frozen`` or ``temporal:nontemporal`` strings such as ``segment:similar``."""
+    if text == FROZEN:
+        return SchemeSpec(FROZEN, FROZEN)
     parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(
-            f"scheme must look like 'temporal:nontemporal', got {text!r}; "
-            f"temporal one of {TEMPORAL_SCHEMES} (fixed as fixedN), "
-            f"non-temporal one of {NONTEMPORAL_SCHEMES}"
-        )
+    if len(parts) != 2 or FROZEN in parts:
+        raise ValueError(f"malformed scheme {text!r}; {VOCABULARY}")
     t, nt = parts
     match = re.fullmatch(r"fixed(\d+)", t)
     if match:
@@ -145,14 +161,14 @@ def temporal_weights(
     spec: SchemeSpec,
     candidates: CandidateArray,
     now_hour: int,
-    curves: dict[int, np.ndarray] | None = None,
-    lookback: int | None = None,
+    curves: dict[int, np.ndarray],
+    lookback: int,
 ) -> CandidateWeights:
     """Weight candidates by their temporal location.
 
     ``curves`` maps entity index to a segmentation probability curve indexed
-    by subsequence start (anchor minus lookback); it is required for the
-    ``segment`` rule.
+    by subsequence start (anchor minus ``lookback``); only the ``segment``
+    rule reads it.
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to weight")
@@ -162,20 +178,13 @@ def temporal_weights(
     age_days = (now_hour - candidates.anchors) / 24.0
     if spec.temporal == "fixed":
         inside = age_days <= spec.fixed_days
-        if not inside.any():
-            logger.warning(
-                "fixed window of %d days holds no candidates, using uniform",
-                spec.fixed_days,
-            )
-            return uniform_weights(candidates)
+        require(inside.any(), f"fixed window of {spec.fixed_days} days holds no candidates")
         return _normalized(candidates, inside.astype(np.float64))
     if spec.temporal == "decay":
         oldest = age_days.max()
         raw = np.maximum(DECAY_EPS, 1.0 - age_days / (oldest + 1.0))
         return _normalized(candidates, raw)
     # segment
-    if curves is None or lookback is None:
-        raise ValueError("segment weighting needs per-entity curves and the lookback")
     raw = np.empty(n)
     for e in np.unique(candidates.entity_idx):
         sel = candidates.entity_idx == e
@@ -235,34 +244,25 @@ def refresh_error_cache(
     subsample_size: int,
     rng: np.random.Generator,
     day: int,
-    capacity: int = 10,
+    capacity: int,
 ) -> tuple[ErrorCache, DynamicsHistory]:
     """Re-evaluate the tracked subsample under the current model.
 
-    The tracked set persists across refreshes; newly labeled candidates join
-    it, and if the union exceeds ``subsample_size`` a uniform subsample is
-    kept.  ``loss_fn`` maps a CandidateArray to per-candidate losses.
+    The tracked set persists across refreshes (no cache: an empty set);
+    candidates anchored past the cache's cutoff join it, and if the union
+    exceeds ``subsample_size`` a uniform subsample is kept.  ``loss_fn``
+    maps a CandidateArray to per-candidate losses.
     """
-    if cache is None:
-        n = len(candidates)
-        if n <= subsample_size:
-            tracked = candidates
-        else:
-            keep = np.sort(rng.choice(n, size=subsample_size, replace=False))
-            tracked = candidates.take(keep)
-        old_keys = np.empty(0, dtype=np.int64)
-    else:
-        fresh = candidates.anchors > cache.anchor_cutoff
-        merged_entity = np.concatenate(
-            [cache.candidates.entity_idx, candidates.entity_idx[fresh]]
-        )
-        merged_anchor = np.concatenate([cache.candidates.anchors, candidates.anchors[fresh]])
-        order = np.lexsort((merged_anchor, merged_entity))
-        tracked = CandidateArray(merged_entity[order], merged_anchor[order])
-        if len(tracked) > subsample_size:
-            keep = np.sort(rng.choice(len(tracked), size=subsample_size, replace=False))
-            tracked = tracked.take(keep)
-        old_keys = cache.candidates.keys
+    old = candidates.take(slice(0)) if cache is None else cache.candidates
+    fresh = candidates.anchors > (-1 if cache is None else cache.anchor_cutoff)
+    merged_entity = np.concatenate([old.entity_idx, candidates.entity_idx[fresh]])
+    merged_anchor = np.concatenate([old.anchors, candidates.anchors[fresh]])
+    order = np.lexsort((merged_anchor, merged_entity))
+    tracked = CandidateArray(merged_entity[order], merged_anchor[order])
+    if len(tracked) > subsample_size:
+        keep = np.sort(rng.choice(len(tracked), size=subsample_size, replace=False))
+        tracked = tracked.take(keep)
+    old_keys = old.keys
 
     errors = np.asarray(loss_fn(tracked), dtype=np.float64)
     require(errors.shape == (len(tracked),), "loss_fn must give one loss per candidate")
@@ -320,13 +320,18 @@ def _rank_weights_over(
 def nontemporal_weights(
     spec: SchemeSpec,
     candidates: CandidateArray,
-    cache: ErrorCache | None = None,
-    dynamics: DynamicsHistory | None = None,
-    features: dict[int, np.ndarray] | None = None,
-    queries: dict[int, np.ndarray] | None = None,
-    lookback: int | None = None,
+    cache: ErrorCache | None,
+    dynamics: DynamicsHistory | None,
+    history: np.ndarray,
+    queries: np.ndarray,
 ) -> CandidateWeights:
-    """Weight candidates by similarity, cached error, or error dynamics."""
+    """Weight candidates by similarity, cached error, or error dynamics.
+
+    ``history`` is every entity's labelled features, (entities, hours, d),
+    and ``queries`` their current input windows, (entities, lookback, d);
+    only the ``similar`` rule reads them.  The error rules read ``cache``
+    and ``dynamics`` as ``refresh_error_cache`` just left them.
+    """
     if len(candidates) == 0:
         raise ValueError("no candidates to weight")
     kind = spec.nontemporal
@@ -334,13 +339,11 @@ def nontemporal_weights(
         return uniform_weights(candidates)
 
     if kind == "similar":
-        if features is None or queries is None or lookback is None:
-            raise ValueError("similar weighting needs features, queries and lookback")
+        lookback = queries.shape[1]
         raw = np.empty(len(candidates))
         for e in np.unique(candidates.entity_idx):
             sel = candidates.entity_idx == e
-            feats = features[int(e)]
-            query = queries[int(e)]
+            feats, query = history[e], queries[e]
             dims_used = 0
             dist = np.zeros(feats.shape[0] - lookback + 1)
             for j in range(feats.shape[1]):
@@ -357,17 +360,15 @@ def nontemporal_weights(
             raw[sel] = d_c.max() - d_c + SIMILAR_EPS
         return _normalized(candidates, raw)
 
-    if cache is None or len(cache.candidates) == 0:
-        logger.warning("%s weighting has no error cache yet, using uniform", kind)
-        return uniform_weights(candidates)
+    require(cache is not None and len(cache.candidates) > 0,
+            f"{kind} weighting reads an error cache that was never refreshed")
     if kind == "high_error":
         return _rank_weights_over(candidates, cache.candidates, cache.errors)
     if kind == "low_error":
         return _rank_weights_over(candidates, cache.candidates, -cache.errors)
 
-    if dynamics is None or not dynamics.counts.any():
-        logger.warning("%s weighting has no dynamics history yet, using uniform", kind)
-        return uniform_weights(candidates)
+    require(dynamics is not None and dynamics.counts.any(),
+            f"{kind} weighting reads an error history that was never recorded")
     confidence, variability = dynamics.stats()
     stat = {
         "high_confidence": confidence,

@@ -4,13 +4,16 @@ Training windows are enumerated as a ``CandidateArray`` by
 ``build_candidates`` and cut in batches by ``DatasetIndex.gather``; this is
 the only window path.
 
-The simulation walks one day at a time.  Each day the labeled horizon
-advances (metric values become observable only after the configured delay),
-scheme-specific weighting state is refreshed, the model takes a fixed number
-of weighted mini-batch steps, and a multi-horizon prediction anchored at the
-day's midnight is emitted for every entity into a ``PredictionLog`` of three
-day-major arrays.  Predictions are a pure function of features dated up to
-the anchor and labels dated before the delay cutoff.
+The simulation walks one day at a time; ``online_step`` runs a day as
+phases.  The labeled horizon advances (metric values become observable only
+after the configured delay) and the day's candidates are built;
+``_day_weights`` refreshes what the scheme reads (segmentation curves, the
+error cache) and weights the candidates; ``_sgd_step``, the one training
+step offline and online, runs the day's weighted mini-batches; ``_emit``
+appends a multi-horizon prediction anchored at the day's midnight for every
+entity to a ``PredictionLog`` of three day-major arrays.  A ``frozen`` scheme
+skips all but the emission.  Predictions are a pure function of features
+dated up to the anchor and labels dated before the delay cutoff.
 
 Parameters and both Adam moments are three flat vectors; one ``adam_step``
 updates them all.  Checkpoints serialize the three vectors, RNG states,
@@ -86,8 +89,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.scheme != "frozen":
-            parse_scheme(self.scheme)
+        spec, h = parse_scheme(self.scheme), self.horizon
+        # The newest labelled anchor is label_delay_days + forward/24 days old.
+        if spec.temporal == "fixed" and (
+            spec.fixed_days * HOURS_PER_DAY < h.label_delay_days * HOURS_PER_DAY + h.forward
+        ):
+            raise ValueError(
+                f"scheme {self.scheme}: a {spec.fixed_days}-day window never holds a "
+                f"labelled anchor, the newest being {h.label_delay_days} days (label "
+                f"delay) plus {h.forward} hours (forward horizon) old"
+            )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
@@ -341,12 +352,7 @@ def train_offline(
         epoch_loss, batches = 0.0, 0
         for lo in range(0, n, train_cfg.batch_size):
             batch = cands.take(perm[lo : lo + train_cfg.batch_size])
-            X, I, Y = index.gather(batch)
-            loss, grads = model_mod.batch_loss_and_grads(
-                state.params, model_cfg, X, I, Y, state.gamma
-            )
-            adam_step(state.params.flat, grads.flat, state.optimizer)
-            epoch_loss += loss
+            epoch_loss += _sgd_step(state, index, model_cfg, batch)
             batches += 1
         state.final_train_loss = epoch_loss / batches
         logger.info("offline epoch %d/%d loss %.6f",
@@ -355,15 +361,70 @@ def train_offline(
     return state
 
 
-def _scheme_needs(spec: SchemeSpec) -> tuple[bool, bool, bool]:
-    needs_curves = spec.temporal == "segment"
-    needs_error = spec.nontemporal in (
-        "high_error", "low_error",
-        "high_confidence", "low_confidence",
-        "high_variability", "low_variability",
+def _sgd_step(state: SimulationState, index: DatasetIndex,
+              model_cfg: model_mod.ModelConfig, batch: CandidateArray) -> float:
+    """One Adam step on the batch's windows; returns the batch loss."""
+    X, I, Y = index.gather(batch)
+    loss, grads = model_mod.batch_loss_and_grads(
+        state.params, model_cfg, X, I, Y, state.gamma
     )
-    needs_similar = spec.nontemporal == "similar"
-    return needs_curves, needs_error, needs_similar
+    adam_step(state.params.flat, grads.flat, state.optimizer)
+    return loss
+
+
+def _day_weights(state: SimulationState, index: DatasetIndex,
+                 model_cfg: model_mod.ModelConfig, train_cfg: TrainConfig, spec: SchemeSpec,
+                 cands: CandidateArray, labeled_end: int) -> sampling.CandidateWeights:
+    """Refresh what the scheme reads, then weight the day's candidates.
+
+    A ``segment`` scheme extends each entity's neighbour index and curves
+    by the newly labelled hours; an error rule refreshes the error cache.
+    """
+    lookback = train_cfg.horizon.lookback
+    day = state.current_day
+    now = day * HOURS_PER_DAY
+    history = index.features[:, :labeled_end]
+    if spec.temporal == "segment":
+        curves = [
+            fluss_probability(series, lookback,
+                              state.profile[e] if len(state.profile) else None)
+            for e, series in enumerate(history)
+        ]
+        state.profile = np.stack([c.nn_index for c in curves])
+        state.curves = {e: c.p for e, c in enumerate(curves)}
+    if spec.reads_errors:
+        state.cache, state.dynamics = sampling.refresh_error_cache(
+            lambda cc: _candidate_losses(state, index, model_cfg, cc),
+            cands,
+            state.cache,
+            state.dynamics,
+            train_cfg.error_subsample,
+            state.rng_subsample,
+            day,
+            train_cfg.dynamics_window,
+        )
+    w_t = sampling.temporal_weights(spec, cands, now, state.curves, lookback)
+    w_nt = sampling.nontemporal_weights(
+        spec, cands, state.cache, state.dynamics,
+        history, index.features[:, now - lookback : now],
+    )
+    return sampling.combine(w_t, w_nt)
+
+
+def _emit(state: SimulationState, index: DatasetIndex,
+          model_cfg: model_mod.ModelConfig) -> np.ndarray:
+    """Predict every entity's window anchored at the day's midnight and log it."""
+    day = state.current_day
+    anchor = day * HOURS_PER_DAY
+    n = len(index.dataset.records)
+    if anchor < index.horizon.lookback or day >= index.dataset.days:
+        logger.warning("day %d: no feature history at hour %d, nothing emitted", day, anchor)
+        n = 0
+    cand = CandidateArray(np.arange(n, dtype=np.int32), np.full(n, anchor, dtype=np.int64))
+    X, I, _ = index.gather(cand, with_targets=False)
+    m_hat = model_mod.batch_predict(state.params, model_cfg, X, I)
+    state.log.append_day(day, cand.entity_idx, m_hat)
+    return m_hat
 
 
 def online_step(
@@ -371,92 +432,32 @@ def online_step(
     dataset: Dataset,
     model_cfg: model_mod.ModelConfig,
     train_cfg: TrainConfig,
-    index: DatasetIndex | None = None,
+    index: DatasetIndex,
 ) -> DayPrediction:
     """Advance the simulation by one day and emit the day's predictions."""
     _check_window_geometry(model_cfg, train_cfg)
-    if index is None:
-        index = DatasetIndex(dataset, train_cfg.horizon)
-    horizon = train_cfg.horizon
+    spec = parse_scheme(train_cfg.scheme)
     day = state.current_day
-    labeled_end = label_cutoff(day, horizon, dataset.hours)
-    frozen = train_cfg.scheme == "frozen"
-
-    if not frozen:
-        cands = build_candidates(dataset, labeled_end, horizon)
+    labeled_end = label_cutoff(day, train_cfg.horizon, dataset.hours)
+    if not spec.frozen:
+        cands = build_candidates(dataset, labeled_end, train_cfg.horizon)
         if len(cands) == 0:
             logger.warning("day %d: no labeled candidates, skipping update", day)
         else:
-            spec = parse_scheme(train_cfg.scheme)
-            needs_curves, needs_error, needs_similar = _scheme_needs(spec)
-            if needs_curves:
-                curves = [
-                    fluss_probability(record.features[:labeled_end], horizon.lookback,
-                                      state.profile[eidx] if len(state.profile) else None)
-                    for eidx, record in enumerate(dataset.records)
-                ]
-                state.profile = np.stack([c.nn_index for c in curves])
-                state.curves = {eidx: c.p for eidx, c in enumerate(curves)}
-            if needs_error:
-                state.cache, state.dynamics = sampling.refresh_error_cache(
-                    lambda cc: _candidate_losses(state, index, model_cfg, cc),
-                    cands,
-                    state.cache,
-                    state.dynamics,
-                    train_cfg.error_subsample,
-                    state.rng_subsample,
-                    day,
-                    train_cfg.dynamics_window,
-                )
-            features = queries = None
-            if needs_similar:
-                now = day * HOURS_PER_DAY
-                features = {
-                    e: r.features[:labeled_end] for e, r in enumerate(dataset.records)
-                }
-                queries = {
-                    e: r.features[now - horizon.lookback : now]
-                    for e, r in enumerate(dataset.records)
-                }
-            w_t = sampling.temporal_weights(
-                spec, cands, day * HOURS_PER_DAY, state.curves, horizon.lookback
-            )
-            w_nt = sampling.nontemporal_weights(
-                spec, cands, state.cache, state.dynamics,
-                features, queries, horizon.lookback,
-            )
-            weights = sampling.combine(w_t, w_nt)
+            weights = _day_weights(state, index, model_cfg, train_cfg, spec, cands,
+                                   labeled_end)
             for _ in range(train_cfg.n_iter):
                 batch = sampling.sample_batch(
                     weights, train_cfg.batch_size, state.rng_batches
                 )
-                X, I, Y = index.gather(batch)
-                _, grads = model_mod.batch_loss_and_grads(
-                    state.params, model_cfg, X, I, Y, state.gamma
-                )
-                adam_step(state.params.flat, grads.flat, state.optimizer)
+                _sgd_step(state, index, model_cfg, batch)
                 state.examples_consumed += train_cfg.batch_size
-
-    anchor = day * HOURS_PER_DAY
-    emitted_idx = list(range(len(dataset.records)))
-    if anchor < horizon.lookback or day >= dataset.days:
-        logger.warning("day %d: no feature history at hour %d, nothing emitted", day, anchor)
-        emitted_idx = []
-    cand = CandidateArray(
-        np.array(emitted_idx, dtype=np.int32),
-        np.full(len(emitted_idx), anchor, dtype=np.int64),
-    )
-    X, I, _ = index.gather(cand, with_targets=False)
-    m_hat = model_mod.batch_predict(state.params, model_cfg, X, I)
-    state.log.append_day(day, emitted_idx, m_hat)
+    m_hat = _emit(state, index, model_cfg)
     state.current_day = day + 1
     # The buffers serve this day's passes; held past it, they would sit
     # beside the next day's segmentation and the caller's checkpoint I/O.
     workspace().release()
-    return DayPrediction(
-        day=day,
-        m_hat=m_hat,
-    )
+    return DayPrediction(day=day, m_hat=m_hat)
 
 
 def clone_for_online(state: SimulationState, seed: int) -> SimulationState:

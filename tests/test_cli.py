@@ -62,6 +62,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "low_error" in err and "segment" in err
 
+    def test_fixed_window_without_labels_is_config_error(self, workspace, capsys, tmp_path):
+        # label delay 3 days + forward 6 hours: a 3-day window never holds a label
+        config = dict(TINY_CONFIG, benchmark={
+            "variants": ["base", "proposed"], "schemes": ["uniform:uniform", "fixed3:uniform"],
+            "days": 2})
+        path = tmp_path / "fixed3.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "bench"
+        code = run_cli(["benchmark", "--data", str(workspace / "data"), "--config", str(path),
+                        "--out", str(out)])
+        assert code == 2
+        assert "3-day window" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_dataset_is_data_error(self, capsys, tmp_path):
         code = run_cli([
             "segment", "--data", str(tmp_path / "missing"),

@@ -9,6 +9,7 @@ import pytest
 
 import driftcast
 from driftcast import sampling as S
+from driftcast.data import InvariantError
 
 CHI2_CRIT_999_DF99 = 148.23035916510173  # chi2.ppf(0.999, 99), frozen from scipy
 
@@ -25,6 +26,10 @@ def single_entity_candidates(anchors, entity=0):
     return cand_array([(entity, a) for a in anchors])
 
 
+# The features of no entity: the rules that do not read them get these.
+NO_HISTORY = np.empty((0, 0, 0))
+
+
 class TestParseScheme:
     def test_plain(self):
         spec = S.parse_scheme("segment:similar")
@@ -37,15 +42,33 @@ class TestParseScheme:
         assert spec.label == "fixed90:uniform"
 
     def test_invalid_strings(self):
-        for bad in ("segment", "warp:uniform", "uniform:best", "fixed0:uniform"):
+        for bad in ("segment", "warp:uniform", "uniform:best", "fixed0:uniform",
+                    "frozen:frozen", "frozen:uniform", "uniform:frozen", "fixed:uniform"):
             with pytest.raises(ValueError):
                 S.parse_scheme(bad)
+
+    def test_labels_round_trip(self):
+        temporal = ["uniform", "fixed1", "fixed16", "fixed90", "decay", "segment"]
+        for t in temporal:
+            for nt in S.NONTEMPORAL_SCHEMES:
+                spec = S.parse_scheme(f"{t}:{nt}")
+                assert spec.labels == (t, nt) and spec.label == f"{t}:{nt}"
+                assert S.parse_scheme(spec.label) == spec
+                assert not spec.frozen
+                assert spec.reads_errors == (nt not in ("uniform", "similar"))
+        assert len(S.TEMPORAL_SCHEMES) == 4 and len(S.NONTEMPORAL_SCHEMES) == 8
+
+    def test_frozen(self):
+        spec = S.parse_scheme("frozen")
+        assert spec.frozen and not spec.reads_errors
+        assert spec.labels == ("frozen", "frozen") and spec.label == "frozen"
+        assert S.parse_scheme(spec.label) == spec
 
 
 class TestTemporalWeights:
     def test_uniform(self):
         cands = single_entity_candidates(range(100, 110))
-        w = S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, now_hour=200)
+        w = S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, 200, {}, 24)
         np.testing.assert_allclose(w.weights, 0.1)
 
     def test_fixed_window_cutoff(self):
@@ -53,26 +76,25 @@ class TestTemporalWeights:
         now = 2400 + 100 * 24
         cands = single_entity_candidates([now - 10 * 24, now - 100 * 24])
         spec = S.SchemeSpec("fixed", "uniform", fixed_days=90)
-        w = S.temporal_weights(spec, cands, now_hour=now)
+        w = S.temporal_weights(spec, cands, now, {}, 24)
         by_anchor = dict(zip(w.candidates.anchors, w.weights))
         assert by_anchor[now - 10 * 24] == 1.0
         assert by_anchor[now - 100 * 24] == 0.0
 
-    def test_fixed_window_empty_falls_back(self, caplog):
+    def test_fixed_window_without_candidates_raises(self):
+        # TrainConfig rejects a window too short to reach the newest label
         now = 500 * 24
         cands = single_entity_candidates([now - 400 * 24, now - 300 * 24])
         spec = S.SchemeSpec("fixed", "uniform", fixed_days=10)
-        with caplog.at_level(logging.WARNING):
-            w = S.temporal_weights(spec, cands, now_hour=now)
-        assert "no candidates" in caplog.text
-        np.testing.assert_allclose(w.weights, 0.5)
+        with pytest.raises(InvariantError, match="holds no candidates"):
+            S.temporal_weights(spec, cands, now, {}, 24)
 
     def test_decay_formula(self):
         # weight = max(eps, 1 - age/(oldest+1)); evaluated directly
         now = 200 * 24
         ages = np.array([0.0, 50.0, 199.0])
         cands = single_entity_candidates([int(now - a * 24) for a in ages])
-        w = S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, now_hour=now)
+        w = S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, now, {}, 24)
         raw = np.maximum(S.DECAY_EPS, 1.0 - ages / (ages.max() + 1.0))
         expected = raw / raw.sum()
         by_anchor = dict(zip(w.candidates.anchors, w.weights))
@@ -87,8 +109,7 @@ class TestTemporalWeights:
         curve[30:] = 0.1
         cands = single_entity_candidates([15, 25, 45])
         spec = S.SchemeSpec("segment", "uniform")
-        w = S.temporal_weights(spec, cands, now_hour=60, curves={0: curve},
-                               lookback=lookback)
+        w = S.temporal_weights(spec, cands, 60, {0: curve}, lookback)
         by_anchor = dict(zip(w.candidates.anchors, w.weights))
         assert by_anchor[15] == 0.0 and by_anchor[25] == 0.0
         assert by_anchor[45] == 1.0  # position 35 holds all the mass
@@ -102,7 +123,7 @@ class TestNontemporalWeights:
             anchor_cutoff=30, day=1,
         )
         spec = S.SchemeSpec("uniform", "high_error")
-        w = S.nontemporal_weights(spec, cands, cache=cache)
+        w = S.nontemporal_weights(spec, cands, cache, None, NO_HISTORY, NO_HISTORY)
         np.testing.assert_allclose(w.weights, [3 / 6, 1 / 6, 2 / 6])
 
     def test_low_error_is_exact_reverse(self):
@@ -110,8 +131,10 @@ class TestNontemporalWeights:
         cands = single_entity_candidates(range(50, 80))
         errors = rng.permutation(len(cands.anchors)).astype(float)
         cache = S.ErrorCache(candidates=cands, errors=errors, anchor_cutoff=79, day=1)
-        hi = S.nontemporal_weights(S.SchemeSpec("uniform", "high_error"), cands, cache)
-        lo = S.nontemporal_weights(S.SchemeSpec("uniform", "low_error"), cands, cache)
+        hi = S.nontemporal_weights(S.SchemeSpec("uniform", "high_error"), cands, cache,
+                                   None, NO_HISTORY, NO_HISTORY)
+        lo = S.nontemporal_weights(S.SchemeSpec("uniform", "low_error"), cands, cache,
+                                   None, NO_HISTORY, NO_HISTORY)
         n = len(cands.anchors)
         total = n * (n + 1) / 2
         ranks_hi = hi.weights * total
@@ -119,14 +142,24 @@ class TestNontemporalWeights:
         # rank_high + rank_low == n + 1 for every candidate: exact reversal
         np.testing.assert_allclose(ranks_hi + ranks_lo, n + 1, atol=1e-9)
 
-    def test_empty_cache_falls_back(self, caplog):
+    def test_error_rules_need_a_refreshed_cache(self):
         cands = single_entity_candidates([10, 20])
-        with caplog.at_level(logging.WARNING):
-            w = S.nontemporal_weights(
-                S.SchemeSpec("uniform", "high_error"), cands, cache=None
-            )
-        assert "no error cache" in caplog.text
-        np.testing.assert_allclose(w.weights, 0.5)
+        cache = S.ErrorCache(candidates=cands, errors=np.ones(2), anchor_cutoff=20, day=1)
+        empty = S.ErrorCache(candidates=cands.take(slice(0)), errors=np.empty(0),
+                             anchor_cutoff=20, day=1)
+        unrecorded = S.DynamicsHistory(capacity=3, snapshots=np.zeros((2, 3)),
+                                       counts=np.zeros(2, dtype=np.int64))
+        for kind in S.ERROR_SCHEMES:
+            spec = S.SchemeSpec("uniform", kind)
+            for no_cache in (None, empty):
+                with pytest.raises(InvariantError, match="never refreshed"):
+                    S.nontemporal_weights(spec, cands, no_cache, None, NO_HISTORY, NO_HISTORY)
+            if kind.endswith("_error"):
+                continue
+            for no_dynamics in (None, unrecorded):
+                with pytest.raises(InvariantError, match="never recorded"):
+                    S.nontemporal_weights(spec, cands, cache, no_dynamics,
+                                          NO_HISTORY, NO_HISTORY)
 
     def test_low_variability_prefers_constant_snapshots(self):
         cands = single_entity_candidates([10, 20])
@@ -139,7 +172,8 @@ class TestNontemporalWeights:
         dyn = S.DynamicsHistory(capacity=5, snapshots=snapshots,
                                 counts=np.array([3, 3]))
         w = S.nontemporal_weights(
-            S.SchemeSpec("uniform", "low_variability"), cands, cache, dyn
+            S.SchemeSpec("uniform", "low_variability"), cands, cache, dyn,
+            NO_HISTORY, NO_HISTORY,
         )
         assert w.weights[0] > w.weights[1]
 
@@ -170,20 +204,100 @@ class TestNontemporalWeights:
         query = feats[100 : 100 + lookback].copy()
         cands = single_entity_candidates([124, 150, 200])  # anchor 124 -> position 100
         w = S.nontemporal_weights(
-            S.SchemeSpec("uniform", "similar"), cands,
-            features={0: feats}, queries={0: query}, lookback=lookback,
+            S.SchemeSpec("uniform", "similar"), cands, None, None, feats[None], query[None]
         )
         by_anchor = dict(zip(w.candidates.anchors, w.weights))
         assert by_anchor[124] == max(w.weights)
 
 
+def refresh_two_branch(loss_fn, candidates, cache, dynamics, subsample_size, rng, day,
+                       capacity):
+    """Oracle: the refresh with a separate first-day branch for a missing cache."""
+    if cache is None:
+        n = len(candidates)
+        if n <= subsample_size:
+            tracked = candidates
+        else:
+            keep = np.sort(rng.choice(n, size=subsample_size, replace=False))
+            tracked = candidates.take(keep)
+        old_keys = np.empty(0, dtype=np.int64)
+    else:
+        fresh = candidates.anchors > cache.anchor_cutoff
+        merged_entity = np.concatenate(
+            [cache.candidates.entity_idx, candidates.entity_idx[fresh]]
+        )
+        merged_anchor = np.concatenate([cache.candidates.anchors, candidates.anchors[fresh]])
+        order = np.lexsort((merged_anchor, merged_entity))
+        tracked = S.CandidateArray(merged_entity[order], merged_anchor[order])
+        if len(tracked) > subsample_size:
+            keep = np.sort(rng.choice(len(tracked), size=subsample_size, replace=False))
+            tracked = tracked.take(keep)
+        old_keys = cache.candidates.keys
+
+    errors = np.asarray(loss_fn(tracked), dtype=np.float64)
+    n = len(tracked)
+    snapshots = np.zeros((n, capacity))
+    counts = np.zeros(n, dtype=np.int64)
+    if dynamics is not None and len(old_keys):
+        pos = np.searchsorted(old_keys, tracked.keys)
+        pos = np.clip(pos, 0, len(old_keys) - 1)
+        hit = old_keys[pos] == tracked.keys
+        snapshots[hit] = dynamics.snapshots[pos[hit]]
+        counts[hit] = dynamics.counts[pos[hit]]
+    snapshots[:, 1:] = snapshots[:, :-1]
+    snapshots[:, 0] = errors
+    counts = np.minimum(counts + 1, capacity)
+    new_cache = S.ErrorCache(candidates=tracked, errors=errors,
+                             anchor_cutoff=int(candidates.anchors.max()), day=day)
+    return new_cache, S.DynamicsHistory(capacity=capacity, snapshots=snapshots,
+                                        counts=counts)
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 class TestRefreshErrorCache:
+    def test_one_path_equals_the_two_branch_oracle(self):
+        """Bitwise the oracle's caches and RNG state over seeded multi-day runs."""
+        loss_fn = lambda c: (c.anchors * 0.37 + c.entity_idx) % 5.0
+        for seed in range(120):
+            gen = np.random.default_rng(seed)
+            n_entities = int(gen.integers(1, 6))
+            first, end = int(gen.integers(0, 30)), int(gen.integers(30, 200))
+            pool = n_entities * (end - first)
+            # subsample sizes below and above the first day's pool
+            size = int(gen.integers(1, 2 * pool))
+            capacity = int(gen.integers(1, 5))
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            state_ours = state_ref = (None, None)
+            for day in range(3):
+                last = end + day * int(gen.integers(0, 30))
+                anchors = np.arange(first, last, dtype=np.int64)
+                cands = S.CandidateArray(
+                    np.repeat(np.arange(n_entities, dtype=np.int32), len(anchors)),
+                    np.tile(anchors, n_entities),
+                )
+                state_ours = S.refresh_error_cache(loss_fn, cands, *state_ours, size, ours,
+                                                   day, capacity)
+                state_ref = refresh_two_branch(loss_fn, cands, *state_ref, size, ref,
+                                               day, capacity)
+                (c1, d1), (c2, d2) = state_ours, state_ref
+                for a, b in ((c1.candidates.entity_idx, c2.candidates.entity_idx),
+                             (c1.candidates.anchors, c2.candidates.anchors),
+                             (c1.errors, c2.errors), (d1.snapshots, d2.snapshots),
+                             (d1.counts, d2.counts)):
+                    assert same_array(a, b), (seed, day)
+                assert (c1.anchor_cutoff, c1.day, d1.capacity) == (
+                    c2.anchor_cutoff, c2.day, d2.capacity)
+                assert ours.bit_generator.state == ref.bit_generator.state
+
     def test_perfect_model_gives_zero_errors(self):
         cands = single_entity_candidates(range(30, 40))
         rng = np.random.default_rng(2)
         cache, dyn = S.refresh_error_cache(
             lambda c: np.zeros(len(c.anchors)), cands, None, None,
-            subsample_size=100, rng=rng, day=1,
+            subsample_size=100, rng=rng, day=1, capacity=10,
         )
         assert np.array_equal(cache.errors, np.zeros(10))
         assert dyn.counts.tolist() == [1] * 10
@@ -193,7 +307,7 @@ class TestRefreshErrorCache:
         rng = np.random.default_rng(3)
         cache, _ = S.refresh_error_cache(
             lambda c: np.ones(len(c.anchors)), cands, None, None,
-            subsample_size=1000, rng=rng, day=1,
+            subsample_size=1000, rng=rng, day=1, capacity=10,
         )
         assert len(cache.candidates) == 20
 
@@ -202,7 +316,7 @@ class TestRefreshErrorCache:
         rng = np.random.default_rng(4)
         loss_fn = lambda c: c.anchors.astype(float) * 2.0
         cache, _ = S.refresh_error_cache(
-            loss_fn, cands, None, None, subsample_size=100, rng=rng, day=1
+            loss_fn, cands, None, None, subsample_size=100, rng=rng, day=1, capacity=10
         )
         np.testing.assert_allclose(cache.errors, cache.candidates.anchors * 2.0)
 
@@ -210,11 +324,11 @@ class TestRefreshErrorCache:
         rng = np.random.default_rng(5)
         day1 = single_entity_candidates(range(10, 15))
         cache, dyn = S.refresh_error_cache(
-            lambda c: np.ones(len(c.anchors)), day1, None, None, 100, rng, day=1,
+            lambda c: np.ones(len(c.anchors)), day1, None, None, 100, rng, 1, 10
         )
         day2 = single_entity_candidates(range(10, 18))
         cache2, dyn2 = S.refresh_error_cache(
-            lambda c: np.full(len(c.anchors), 2.0), day2, cache, dyn, 100, rng, day=2,
+            lambda c: np.full(len(c.anchors), 2.0), day2, cache, dyn, 100, rng, 2, 10
         )
         assert len(cache2.candidates) == 8
         old = cache2.candidates.anchors < 15
@@ -227,7 +341,7 @@ class TestRefreshErrorCache:
         cands = single_entity_candidates(range(0, 200))
         rng = np.random.default_rng(6)
         cache, _ = S.refresh_error_cache(
-            lambda c: np.ones(len(c.anchors)), cands, None, None, 50, rng, day=1
+            lambda c: np.ones(len(c.anchors)), cands, None, None, 50, rng, 1, 10
         )
         assert len(cache.candidates) == 50
 
@@ -327,10 +441,12 @@ class TestWeightInvariants:
             candidates=cands, errors=rng.random(40), anchor_cutoff=39, day=1
         )
         checks = [
-            S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, 100 * 24),
-            S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, 100 * 24),
-            S.nontemporal_weights(S.SchemeSpec("uniform", "high_error"), cands, cache),
-            S.nontemporal_weights(S.SchemeSpec("uniform", "low_error"), cands, cache),
+            S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, 100 * 24, {}, 24),
+            S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, 100 * 24, {}, 24),
+            S.nontemporal_weights(S.SchemeSpec("uniform", "high_error"), cands, cache,
+                                  None, NO_HISTORY, NO_HISTORY),
+            S.nontemporal_weights(S.SchemeSpec("uniform", "low_error"), cands, cache,
+                                  None, NO_HISTORY, NO_HISTORY),
         ]
         for w in checks:
             assert np.all(w.weights >= 0)

@@ -116,6 +116,27 @@ def write_csv_rowwise(log, path, dataset, horizon, labeled_end):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("days, delay, forward, accepted", [
+        (15, 15, 24, False), (16, 15, 24, True), (1, 0, 24, True), (1, 0, 25, False),
+    ])
+    def test_fixed_window_must_reach_the_newest_label(self, days, delay, forward, accepted):
+        horizon = HorizonConfig(lookback=24, backward=6, forward=forward,
+                                label_delay_days=delay)
+        scheme = f"fixed{days}:similar"
+        if accepted:
+            assert T.TrainConfig(scheme=scheme, horizon=horizon).scheme == scheme
+        else:
+            with pytest.raises(ValueError,
+                               match=rf"{days}-day window.* {delay} days.* {forward} hours"):
+                T.TrainConfig(scheme=scheme, horizon=horizon)
+
+    def test_fixed90_never_holds_a_label_at_the_defaults(self):
+        with pytest.raises(ValueError, match="90-day window"):
+            T.TrainConfig(scheme="fixed90:uniform")
+        assert T.TrainConfig(scheme="fixed91:uniform").scheme == "fixed91:uniform"
+
+
 class TestTrainOffline:
     def test_deterministic(self, dataset):
         mc = tiny_model_cfg(dataset)
@@ -177,7 +198,7 @@ class TestOnlineStep:
         mc = tiny_model_cfg(dataset)
         tc = tiny_train_cfg()
         state = T.train_offline(dataset, mc, tc)
-        day_pred = T.online_step(state, dataset, mc, tc)
+        day_pred = T.online_step(state, dataset, mc, tc, T.DatasetIndex(dataset, tc.horizon))
         assert day_pred.day == tc.offline_days
         assert day_pred.m_hat.shape == (6, HORIZON.horizon)
         assert len(state.log) == 6
@@ -237,7 +258,7 @@ class TestWindowGeometry:
         state = T.train_offline(dataset, good, tc)
         params = {k: v.copy() for k, v in state.params.items()}
         with pytest.raises(ValueError, match="disagree"):
-            T.online_step(state, dataset, bad, tc)
+            T.online_step(state, dataset, bad, tc, T.DatasetIndex(dataset, tc.horizon))
         assert state.current_day == tc.offline_days and len(state.log) == 0
         assert params_equal(state.params, params)
 
@@ -434,7 +455,8 @@ class TestCheckpoint:
         T.save_checkpoint(loaded, tmp_path / "again.bin", mc, tc)
         assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
 
-    @pytest.mark.parametrize("scheme", ["uniform:low_error", "segment:similar"])
+    @pytest.mark.parametrize("scheme", ["uniform:low_error", "segment:similar", "frozen",
+                                        "fixed5:high_confidence", "decay:low_variability"])
     def test_resume_equals_uninterrupted(self, dataset, tmp_path, scheme):
         mc = tiny_model_cfg(dataset)
         tc = tiny_train_cfg(scheme=scheme)
