@@ -26,7 +26,7 @@ from . import evaluation as eval_mod
 
 from .data import DatasetError, HorizonConfig, label_cutoff, load_dataset
 from .model import ModelConfig
-from .profiles import curve_from_arc_sum, summed_arc_curve
+from .profiles import fluss_probability
 from .sampling import parse_scheme
 from .synthgen import GenConfig, generate
 from .trainer import (
@@ -262,14 +262,14 @@ def _cmd_segment(args, config) -> int:
         record = dataset.record(args.entity)
     except KeyError as err:
         raise ConfigError(f"unknown entity {args.entity!r}") from err
-    window = args.window
-    cac_sum = summed_arc_curve(record.features, window)
-    curve = curve_from_arc_sum(cac_sum)
+    # the segment scheme's windows are lookback hours long
+    window = _horizon_from(config).lookback if args.window is None else args.window
+    curve = fluss_probability(record.features, window)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["position,cac_sum,p"]
-    for pos in range(len(curve.p)):
-        lines.append(f"{pos},{float(cac_sum[pos])!r},{float(curve.p[pos])!r}")
+    for pos, (cac, p) in enumerate(zip(curve.arc_sum.tolist(), curve.p.tolist())):
+        lines.append(f"{pos},{cac!r},{p!r}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_manifest(out.parent, "segment", config, config["gen"]["seed"])
     print(f"segmentation curve for {args.entity} written to {out}")
@@ -362,7 +362,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--entity", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=168)
+    p.add_argument("--window", type=int)
     p.add_argument("--config")
 
     p = sub.add_parser("evaluate", help="score a prediction log against a dataset")

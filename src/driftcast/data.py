@@ -248,37 +248,28 @@ def _load_entity_csv(path: Path, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _load_interactions_csv(path: Path, k: int) -> dict[str, np.ndarray]:
     if not path.exists():
         raise DatasetError(f"{path}: file not found")
-    per_entity: dict[str, list[tuple[int, np.ndarray]]] = {}
+    row = np.dtype([("day", np.int64), ("entity", object), ("counts", np.float64, (k,))])
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         expected = "day,entity_id," + ",".join(f"c{j}" for j in range(k))
         if header != expected:
             raise DatasetError(f"{path}:1: bad header {header!r}, expected {expected!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != k + 2:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected {k + 2} fields, got {len(parts)}"
-                )
-            try:
-                day = int(parts[0])
-                counts = np.array([float(v) for v in parts[2:]], dtype=np.float64)
-            except ValueError as err:
-                raise DatasetError(f"{path}:{lineno}: {err}") from err
-            per_entity.setdefault(parts[1], []).append((day, counts))
-    out = {}
-    for entity_id, rows in per_entity.items():
-        rows.sort(key=lambda r: r[0])
-        days = [r[0] for r in rows]
-        if days != list(range(len(days))):
-            raise DatasetError(
-                f"{path}: entity {entity_id} must have one snapshot per day 0..{len(days) - 1}"
-            )
-        out[entity_id] = np.stack([r[1] for r in rows])
-    return out
+        try:
+            rows = np.loadtxt(fh, delimiter=",", dtype=row, comments=None, ndmin=1)
+        except ValueError as err:
+            raise DatasetError(f"{path}: {err}") from err
+    ids, entity = np.unique(rows["entity"], return_inverse=True)
+    order = np.lexsort((rows["day"], entity))
+    sizes = np.bincount(entity, minlength=len(ids))
+    starts = np.cumsum(sizes) - sizes
+    # sorted by entity, then day: entity e's days must read 0..sizes[e]-1
+    gaps = rows["day"][order] != np.arange(len(rows)) - np.repeat(starts, sizes)
+    if gaps.any():
+        e = entity[order][gaps.argmax()]
+        raise DatasetError(
+            f"{path}: entity {ids[e]} must have one snapshot per day 0..{sizes[e] - 1}"
+        )
+    return dict(zip(ids.tolist(), np.split(rows["counts"][order], starts[1:])))
 
 
 def load_dataset(root: str | Path) -> Dataset:

@@ -7,10 +7,11 @@ subsequence, the start of its nearest non-trivial neighbor; it is
 the index of a prefix by the windows appended since (STAMPI, FLOSS), each
 block of new windows correlated with all windows by one GEMM.  Arcs from each
 subsequence to its neighbor rarely cross a regime boundary, so the corrected
-arc count dips at change points; the final probability curve sums per-channel
-arc counts, enforces a non-decreasing profile by a reverse running-minimum
-pass, and normalizes to a sampling distribution that favors the newest
-regime.
+arc count dips at change points.  A ``SamplingCurve`` holds the per-channel
+neighbour indices of one or more series; its curve, derived when first
+read, sums the per-channel arc counts, enforces a non-decreasing profile by
+a reverse running-minimum pass, and normalizes to a sampling distribution
+that favors the newest regime.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,6 @@ MP_CHUNK = 128
 @dataclass(frozen=True)
 class DistanceProfile:
     distances: np.ndarray
-    query_length: int
     degenerate: np.ndarray  # True where the series subsequence was constant
 
     def __post_init__(self) -> None:
@@ -47,7 +48,6 @@ class DistanceProfile:
 @dataclass(frozen=True)
 class MatrixProfileIndex:
     nn_index: np.ndarray
-    m: int
     exclusion_radius: int
     degenerate: np.ndarray
 
@@ -55,26 +55,6 @@ class MatrixProfileIndex:
         idx = np.arange(len(self.nn_index))
         require(np.all(np.abs(idx - self.nn_index) > self.exclusion_radius),
                 "nearest neighbours must lie outside the exclusion zone")
-
-
-@dataclass(frozen=True)
-class ArcCountCurve:
-    cac: np.ndarray
-
-    def __post_init__(self) -> None:
-        require(0.0 <= self.cac.min() <= self.cac.max() <= 1.0, "cac must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SamplingCurve:
-    p: np.ndarray  # (..., L): one curve per row
-    nn_index: np.ndarray | None = None  # (..., channels, L) index it was built from
-
-    def __post_init__(self) -> None:
-        require(self.p.min() >= 0, "curve probabilities must be non-negative")
-        require(np.all(np.abs(self.p.sum(axis=-1) - 1.0) <= 1e-9),
-                "curve probabilities must sum to 1")
-        require(np.diff(self.p).min(initial=0.0) >= -1e-15, "curve must be non-decreasing")
 
 
 def _window_stats(series: np.ndarray, m: int):
@@ -132,7 +112,7 @@ def mass(query: np.ndarray, series: np.ndarray) -> DistanceProfile:
     corr = np.clip(corr, -1.0, 1.0)
     dist = np.sqrt(2 * m * (1.0 - corr))
     dist[degenerate] = math.sqrt(2 * m)
-    return DistanceProfile(distances=dist, query_length=m, degenerate=degenerate)
+    return DistanceProfile(distances=dist, degenerate=degenerate)
 
 
 def _unit_windows(series: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,9 +187,7 @@ def extend_profile(
             won = np.flatnonzero(top > best[:lo])
             out[won] = lo + corr[:, won].argmax(axis=0)
             best[won] = top[won]
-    return MatrixProfileIndex(
-        nn_index=out, m=m, exclusion_radius=radius, degenerate=degenerate
-    )
+    return MatrixProfileIndex(nn_index=out, exclusion_radius=radius, degenerate=degenerate)
 
 
 def matrix_profile_index(
@@ -229,35 +207,46 @@ def matrix_profile_index(
 def channel_index(
     series: np.ndarray, m: int, nn: np.ndarray | None = None
 ) -> np.ndarray:
-    """(channels, L) int32 neighbour index of every channel of ``series``.
+    """(..., channels, L) int32 neighbour index of every channel of ``series``.
 
-    ``nn`` is this function's result on a prefix of ``series``, or None;
-    each of its rows is extended.  A constant channel is skipped and gets a
-    row of -1; a channel that was skipped on the prefix is built from
-    scratch.  The curve of an index whose rows are all -1 is flat.
+    ``series`` is (..., time, channels), a leading axis per series (an
+    entity), or 1-D for one channel.  ``nn`` is this function's result on a
+    prefix of ``series``, or None; each of its rows is extended.  A constant
+    channel is skipped and gets a row of -1; a channel that was skipped on
+    the prefix is built from scratch.  The curve of an index whose rows are
+    all -1 is flat.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim == 1:
         series = series[:, None]
-    tau, d = series.shape
-    if nn is not None and len(nn) != d:
-        raise ValueError(f"index has {len(nn)} channels, the series {d}")
-    out = np.full((d, tau - m + 1), -1, dtype=np.int32)
-    for j in range(d):
-        col = series[:, j]
+    *lead, tau, d = series.shape
+    if nn is not None and nn.shape[:-1] != (*lead, d):
+        raise ValueError(
+            f"index of shape {nn.shape} does not fit series of shape {series.shape}"
+        )
+    out = np.full((*lead, d, tau - m + 1), -1, dtype=np.int32)
+    for *e, j in np.ndindex(*lead, d):
+        col = series[(*e, slice(None), j)]
         if col.std() <= DEGENERATE_REL_STD * max(1.0, abs(col.mean())):
-            logger.warning("segmentation: skipping constant channel %d", j)
-        elif nn is None or nn[j, 0] < 0:
-            out[j] = matrix_profile_index(col, m).nn_index
+            logger.warning("segmentation: skipping constant channel %d of series %s",
+                           j, tuple(e))
+        elif nn is None or nn[(*e, j, 0)] < 0:
+            out[(*e, j)] = matrix_profile_index(col, m).nn_index
         else:
-            out[j] = extend_profile(nn[j], col, m, math.ceil(m / 2)).nn_index
-    if (out[:, 0] < 0).all():
-        logger.warning("segmentation: all channels constant, using a flat curve")
+            out[(*e, j)] = extend_profile(nn[(*e, j)], col, m, math.ceil(m / 2)).nn_index
+    if (out[..., 0] < 0).all(axis=-1).any():
+        logger.warning("segmentation: all channels of a series constant, using a flat curve")
     return out
 
 
 def _arc_counts(nn: np.ndarray, m: int) -> np.ndarray:
-    """Corrected arc counts of the (R, L) neighbour indices, one row each."""
+    """Corrected arc counts of the (R, L) neighbour indices, one row each.
+
+    The arc for subsequence ``i`` spans (min(i, nn[i]), max(i, nn[i])) and
+    counts toward every position strictly inside.  Crossings are divided by
+    the expected parabola and capped at 1; the first and last m positions
+    are forced to 1.0.
+    """
     rows, length = nn.shape
     stride = length + 1
     pos = np.arange(length)
@@ -277,76 +266,73 @@ def _arc_counts(nn: np.ndarray, m: int) -> np.ndarray:
     expected = 2.0 * t * (length - t) / length  # > 0: the interior skips both ends
     np.divide(crossings[:, interior], expected, out=cac[:, interior])
     np.minimum(cac, 1.0, out=cac)
+    require(0.0 <= cac.min() <= cac.max() <= 1.0, "cac must lie in [0, 1]")
     return cac
 
 
-def corrected_arc_count(mpi: MatrixProfileIndex) -> ArcCountCurve:
-    """Arc crossings divided by the expected parabola, capped at 1.
+@dataclass(frozen=True)
+class SamplingCurve:
+    """Segmentation of one or more series: the neighbour index it is derived from.
 
-    The arc for subsequence ``i`` spans (min(i, nn[i]), max(i, nn[i])) and
-    counts toward every position strictly inside.  The first and last m
-    positions are forced to 1.0.
+    ``nn_index`` is (..., channels, L) as ``channel_index`` gives it and
+    ``m`` its window length.  ``arc_sum`` and ``p`` are (..., L), one row per
+    series.  ``p`` is derived on first read and kept; ``arc_sum`` is derived
+    on every read, so a kept segmentation holds no second (..., L) array.
     """
-    return ArcCountCurve(cac=_arc_counts(mpi.nn_index[None, :], mpi.m)[0])
 
+    nn_index: np.ndarray
+    m: int
 
-def arc_curve_sum(nn: np.ndarray, m: int) -> np.ndarray:
-    """Per-channel corrected arc counts summed, for stacked channel indices.
+    def __post_init__(self) -> None:
+        length = self.nn_index.shape[-1]
+        if self.nn_index.size and not -1 <= self.nn_index.min() <= self.nn_index.max() < length:
+            raise ValueError(f"neighbour index outside -1..{length - 1}")
 
-    ``nn`` is (..., channels, L) as ``channel_index`` gives it, the result
-    (..., L).  Rows of -1 (skipped channels) add nothing; where every
-    channel was skipped the sum is 1 everywhere.
-    """
-    *lead, d, length = nn.shape
-    if nn.size and not -1 <= nn.min() <= nn.max() < length:
-        raise ValueError(f"neighbour index outside -1..{length - 1}")
-    cac = ArcCountCurve(cac=_arc_counts(nn.reshape(-1, length), m)).cac
-    cac = cac.reshape(*lead, d, length)
-    used = nn[..., 0] >= 0
-    cac[~used] = 0.0
-    total = cac[..., 0, :].copy()
-    for j in range(1, d):
-        total += cac[..., j, :]
-    total[~used.any(axis=-1)] = 1.0
-    return total
+    @property
+    def arc_sum(self) -> np.ndarray:
+        """Per-channel corrected arc counts summed.
 
+        Rows of -1 (skipped channels) add nothing; where every channel of a
+        series was skipped its sum is 1 everywhere.
+        """
+        nn = self.nn_index
+        *lead, d, length = nn.shape
+        cac = _arc_counts(nn.reshape(-1, length), self.m).reshape(*lead, d, length)
+        used = nn[..., 0] >= 0
+        cac[~used] = 0.0
+        total = cac[..., 0, :].copy()
+        for j in range(1, d):
+            total += cac[..., j, :]
+        total[~used.any(axis=-1)] = 1.0
+        return total
 
-def summed_arc_curve(series: np.ndarray, m: int) -> np.ndarray:
-    """Sum of per-channel corrected arc counts; constant channels are skipped."""
-    return arc_curve_sum(channel_index(series, m), m)
+    @cached_property
+    def p(self) -> np.ndarray:
+        """Sampling probability per subsequence start, favoring the newest regime.
+
+        ``arc_sum`` is replaced by its suffix minimum (a reverse scan
+        clamping any earlier value down to the smallest value seen after
+        it), and the result is normalized to sum 1.
+        """
+        total = self.arc_sum
+        clamped = np.minimum.accumulate(total[..., ::-1], axis=-1)[..., ::-1]
+        s = clamped.sum(axis=-1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = clamped / s
+        p[(s <= 0)[..., 0]] = 1.0 / total.shape[-1]
+        require(p.min() >= 0, "curve probabilities must be non-negative")
+        require(np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9),
+                "curve probabilities must sum to 1")
+        require(np.diff(p).min(initial=0.0) >= -1e-15, "curve must be non-decreasing")
+        return p
 
 
 def fluss_probability(
     series: np.ndarray, m: int, nn: np.ndarray | None = None
 ) -> SamplingCurve:
-    """Sampling probability per subsequence start, favoring the newest regime.
+    """The segmentation of ``series``, (..., time, channels), by windows of length m.
 
     ``nn`` is the ``nn_index`` of this function's curve over a prefix of
     ``series``; the profile is extended from it rather than built again.
     """
-    return sampling_curve(channel_index(series, m, nn), m)
-
-
-def sampling_curve(nn: np.ndarray, m: int) -> SamplingCurve:
-    """The sampling curve of stacked channel indices (..., channels, L).
-
-    The curve's ``p`` is (..., L) and its ``nn_index`` is ``nn``.
-    """
-    return curve_from_arc_sum(arc_curve_sum(nn, m), nn)
-
-
-def curve_from_arc_sum(
-    total: np.ndarray, nn_index: np.ndarray | None = None
-) -> SamplingCurve:
-    """The sampling curve of a ``summed_arc_curve``, per row of a stack of them.
-
-    The sum is replaced by its suffix minimum (a reverse scan clamping any
-    earlier value down to the smallest value seen after it), and the result
-    is normalized to sum 1.  ``nn_index`` is the index the sum came from.
-    """
-    clamped = np.minimum.accumulate(total[..., ::-1], axis=-1)[..., ::-1]
-    s = clamped.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = clamped / s
-    p[(s <= 0)[..., 0]] = 1.0 / total.shape[-1]
-    return SamplingCurve(p=p, nn_index=nn_index)
+    return SamplingCurve(channel_index(series, m, nn), m)

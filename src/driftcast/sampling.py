@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import require
-from .profiles import mass
+from .profiles import SamplingCurve, mass
 
 logger = logging.getLogger(__name__)
 
@@ -161,18 +161,17 @@ def temporal_weights(
     spec: SchemeSpec,
     candidates: CandidateArray,
     now_hour: int,
-    curves: dict[int, np.ndarray],
+    segmentation: SamplingCurve | None,
     lookback: int,
 ) -> CandidateWeights:
     """Weight candidates by their temporal location.
 
-    ``curves`` maps entity index to a segmentation probability curve indexed
-    by subsequence start (anchor minus ``lookback``); only the ``segment``
-    rule reads it.
+    ``segmentation`` holds one curve per entity index, indexed by
+    subsequence start (anchor minus ``lookback``); only the ``segment`` rule
+    reads it.
     """
     if len(candidates) == 0:
         raise ValueError("no candidates to weight")
-    n = len(candidates)
     if spec.temporal == "uniform":
         return uniform_weights(candidates)
     age_days = (now_hour - candidates.anchors) / 24.0
@@ -184,12 +183,8 @@ def temporal_weights(
         oldest = age_days.max()
         raw = np.maximum(DECAY_EPS, 1.0 - age_days / (oldest + 1.0))
         return _normalized(candidates, raw)
-    # segment
-    raw = np.empty(n)
-    for e in np.unique(candidates.entity_idx):
-        sel = candidates.entity_idx == e
-        positions = candidates.anchors[sel] - lookback
-        raw[sel] = curves[int(e)][positions]
+    require(segmentation is not None, "segment weighting reads a segmentation never computed")
+    raw = segmentation.p[candidates.entity_idx, candidates.anchors - lookback]
     return _normalized(candidates, raw)
 
 

@@ -221,10 +221,6 @@ def _entity_interactions(
     return trailing
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
-
-
 def generate(cfg: GenConfig, out_dir: str | Path) -> Path:
     """Write a full dataset directory for ``cfg``; returns the directory path."""
     out = Path(out_dir)
@@ -239,8 +235,7 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> Path:
     clusters = np.array([_cluster_of(i, cfg) for i in range(cfg.n_entities)])
     entity_ids = [f"e{i:03d}" for i in range(cfg.n_entities)]
 
-    inter_lines = ["day,entity_id," + ",".join(f"c{j}" for j in range(cfg.interaction_dim))]
-    inter_rows: dict[int, list[str]] = {day: [] for day in range(cfg.days)}
+    interactions = []
     for idx, entity_id in enumerate(entity_ids):
         rng = np.random.default_rng([cfg.seed, 101, idx])
         scale = float(np.exp(rng.uniform(0.0, np.log(cfg.scale_spread))))
@@ -249,19 +244,19 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> Path:
         # hourly aggregates grow with entity size, so the same per-entity
         # factor scales the observable features and the target metric
         features = scale * features
-        interactions = _entity_interactions(cfg, clusters, idx, rng)
+        interactions.append(_entity_interactions(cfg, clusters, idx, rng).astype(np.int64))
 
         lines = ["hour," + ",".join(f"f{j}" for j in range(cfg.d)) + ",metric"]
-        for t in range(tau):
-            lines.append(f"{t}," + _format_row(features[t]) + f",{float(metric[t])!r}")
+        lines += [f"{t},{','.join(map(repr, row))},{m!r}"
+                  for t, (row, m) in enumerate(zip(features.tolist(), metric.tolist()))]
         (out / f"entity_{entity_id}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-        for day in range(cfg.days):
-            counts = ",".join(str(int(v)) for v in interactions[day])
-            inter_rows[day].append(f"{day},{entity_id},{counts}")
-    for day in range(cfg.days):
-        inter_lines.extend(inter_rows[day])
-    (out / "interactions.csv").write_text("\n".join(inter_lines) + "\n", encoding="utf-8")
+    # day-major: every entity's snapshot of day 0, then of day 1, ...
+    counts = [[",".join(map(repr, row)) for row in a.tolist()] for a in interactions]
+    lines = ["day,entity_id," + ",".join(f"c{j}" for j in range(cfg.interaction_dim))]
+    lines += [f"{day},{entity_id},{rows[day]}"
+              for day in range(cfg.days) for entity_id, rows in zip(entity_ids, counts)]
+    (out / "interactions.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     meta = {
         "format": 1,

@@ -7,7 +7,7 @@ the only window path.
 The simulation walks one day at a time; ``online_step`` runs a day as
 phases.  The labeled horizon advances (metric values become observable only
 after the configured delay) and the day's candidates are built;
-``_day_weights`` refreshes what the scheme reads (segmentation curves, the
+``_day_weights`` refreshes what the scheme reads (the segmentation, the
 error cache) and weights the candidates; ``_sgd_step``, the one training
 step offline and online, runs the day's weighted mini-batches; ``_emit``
 appends a multi-horizon prediction anchored at the day's midnight for every
@@ -18,8 +18,9 @@ dated up to the anchor and labels dated before the delay cutoff.
 Parameters and both Adam moments are three flat vectors; one ``adam_step``
 updates them all.  Checkpoints serialize the three vectors, RNG states,
 sampling caches, the segmentation neighbour index and the prediction log;
-the segmentation curves are derived again from the index on load.  Resuming
-from a checkpoint reproduces an uninterrupted run bit for bit.
+the segmentation curves are derived from the index when first read, not on
+load.  Resuming from a checkpoint reproduces an uninterrupted run bit for
+bit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .data import (
     label_cutoff,
 )
 from .nnkernel import AdamState, FlatViews, adam_step, workspace
-from .profiles import fluss_probability, sampling_curve
+from .profiles import SamplingCurve, fluss_probability
 from .sampling import CandidateArray, SchemeSpec, parse_scheme
 
 logger = logging.getLogger(__name__)
@@ -185,13 +186,17 @@ class SimulationState:
     rng_subsample: np.random.Generator
     cache: sampling.ErrorCache | None = None
     dynamics: sampling.DynamicsHistory | None = None
-    curves: dict[int, np.ndarray] = field(default_factory=dict)
-    # (entities, channels, L) int32 neighbour index behind ``curves``; a row
-    # of -1 is a channel skipped as constant.  Each segment day extends it.
-    profile: np.ndarray = field(default_factory=lambda: np.empty((0, 0, 0), np.int32))
+    # every entity's (channels, L) neighbour index, stacked: None until the
+    # first segment day, extended by each one
+    segmentation: SamplingCurve | None = None
     log: PredictionLog = field(default_factory=PredictionLog)
     examples_consumed: int = 0
     final_train_loss: float | None = None
+
+    @property
+    def curves(self) -> dict[int, np.ndarray]:
+        """Each entity's segmentation curve by entity index: the rows of its ``p``."""
+        return {} if self.segmentation is None else dict(enumerate(self.segmentation.p))
 
     @property
     def adam(self) -> Mapping[str, AdamMoments]:
@@ -377,21 +382,18 @@ def _day_weights(state: SimulationState, index: DatasetIndex,
                  cands: CandidateArray, labeled_end: int) -> sampling.CandidateWeights:
     """Refresh what the scheme reads, then weight the day's candidates.
 
-    A ``segment`` scheme extends each entity's neighbour index and curves
-    by the newly labelled hours; an error rule refreshes the error cache.
+    A ``segment`` scheme extends every entity's neighbour index by the
+    newly labelled hours; an error rule refreshes the error cache.
     """
     lookback = train_cfg.horizon.lookback
     day = state.current_day
     now = day * HOURS_PER_DAY
     history = index.features[:, :labeled_end]
     if spec.temporal == "segment":
-        curves = [
-            fluss_probability(series, lookback,
-                              state.profile[e] if len(state.profile) else None)
-            for e, series in enumerate(history)
-        ]
-        state.profile = np.stack([c.nn_index for c in curves])
-        state.curves = {e: c.p for e, c in enumerate(curves)}
+        prev = state.segmentation
+        state.segmentation = fluss_probability(
+            history, lookback, None if prev is None else prev.nn_index
+        )
     if spec.reads_errors:
         state.cache, state.dynamics = sampling.refresh_error_cache(
             lambda cc: _candidate_losses(state, index, model_cfg, cc),
@@ -403,7 +405,7 @@ def _day_weights(state: SimulationState, index: DatasetIndex,
             day,
             train_cfg.dynamics_window,
         )
-    w_t = sampling.temporal_weights(spec, cands, now, state.curves, lookback)
+    w_t = sampling.temporal_weights(spec, cands, now, state.segmentation, lookback)
     w_nt = sampling.nontemporal_weights(
         spec, cands, state.cache, state.dynamics,
         history, index.features[:, now - lookback : now],
@@ -515,8 +517,8 @@ def _state_arrays(state: SimulationState) -> list[tuple[str, np.ndarray]]:
     if state.dynamics is not None:
         arrays += [("dynamics/snapshots", state.dynamics.snapshots),
                    ("dynamics/counts", state.dynamics.counts)]
-    if state.profile.size:
-        arrays.append(("profile/nn", state.profile))
+    if state.segmentation is not None:
+        arrays.append(("profile/nn", state.segmentation.nn_index))
     arrays += [("log/days", state.log.days), ("log/entity_idx", state.log.entity_idx),
                ("log/preds", state.log.preds)]
     return [(key, np.ascontiguousarray(a)) for key, a in arrays]
@@ -626,10 +628,9 @@ def load_checkpoint(path: str | Path):
                 capacity=snapshots.shape[1], snapshots=snapshots,
                 counts=arrays["dynamics/counts"],
             )
-        curves = {}
+        segmentation = None
         if "profile/nn" in arrays:
-            p = sampling_curve(arrays["profile/nn"], train_cfg.horizon.lookback).p
-            curves = dict(enumerate(p))
+            segmentation = SamplingCurve(arrays["profile/nn"], train_cfg.horizon.lookback)
         log = PredictionLog()
         log.days, log.entity_idx, log.preds = (
             arrays["log/days"], arrays["log/entity_idx"], arrays["log/preds"]
@@ -647,8 +648,7 @@ def load_checkpoint(path: str | Path):
             rng_subsample=rng_subsample,
             cache=cache,
             dynamics=dynamics,
-            curves=curves,
-            profile=arrays.get("profile/nn", np.empty((0, 0, 0), np.int32)),
+            segmentation=segmentation,
             log=log,
             examples_consumed=int(header["examples_consumed"]),
             final_train_loss=header["final_train_loss"],

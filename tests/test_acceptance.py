@@ -20,7 +20,7 @@ from driftcast import trainer as T
 from driftcast.cli import run_cli
 from gradcheck import grad_check
 from driftcast.data import Dataset, EntityRecord, HorizonConfig, load_dataset
-from driftcast.profiles import fluss_probability, mass, matrix_profile_index, summed_arc_curve
+from driftcast.profiles import fluss_probability, mass, matrix_profile_index
 from driftcast.sampling import CandidateArray, CandidateWeights, sample_batch, uniform_weights
 from driftcast.synthgen import GenConfig, generate
 
@@ -218,9 +218,8 @@ def test_criterion_03_segmentation():
                       np.sin(2 * np.pi * t / 24.0),
                       np.sin(2 * np.pi * t / 12.0))
     m = 168
-    total = summed_arc_curve(series, m)
-    min_pos = int(np.argmin(total))
     curve = fluss_probability(series, m)
+    min_pos = int(np.argmin(curve.arc_sum))
     mass_after = float(curve.p[2000:].sum())
     elapsed = time.perf_counter() - start
     report(3, "segmentation desk-scale",

@@ -4,6 +4,7 @@ import pytest
 
 from driftcast import profiles
 from driftcast.cli import DEFAULT_CONFIG, load_config, run_cli, ConfigError
+from driftcast.data import load_dataset
 
 TINY_CONFIG = {
     "gen": {"n_entities": 5, "n_clusters": 2, "d": 2, "days": 40, "seed": 3,
@@ -145,6 +146,19 @@ class TestPipeline:
         assert lines[0] == "position,cac_sum,p"
         probs = [float(line.split(",")[2]) for line in lines[1:]]
         assert abs(sum(probs) - 1.0) < 1e-9
+
+    def test_segment_window_defaults_to_the_lookback(self, workspace):
+        config = workspace / "lookback48.json"
+        config.write_text(json.dumps({"horizon": {"lookback": 48}}))
+        data = load_dataset(workspace / "data")
+        for argv, window in ((["--config", str(config)], 48), ([], 168)):
+            out = workspace / f"curve{window}.csv"
+            assert run_cli(["segment", "--data", str(workspace / "data"), "--entity", "e001",
+                            "--out", str(out), *argv]) == 0
+            curve = profiles.fluss_probability(data.record("e001").features, window)
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert [float(r[2]) for r in rows] == curve.p.tolist()
+            assert [float(r[1]) for r in rows] == curve.arc_sum.tolist()
 
     def test_unknown_entity_is_data_error(self, workspace):
         assert run_cli(["segment", "--data", str(workspace / "data"),

@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftcast.profiles import (
-    ArcCountCurve,
-    MatrixProfileIndex,
+    SamplingCurve,
+    _arc_counts,
     _sliding_dot,
     _window_stats,
     channel_index,
-    corrected_arc_count,
     extend_profile,
     fluss_probability,
     mass,
     matrix_profile_index,
-    sampling_curve,
-    summed_arc_curve,
 )
 
 
@@ -199,11 +196,41 @@ class TestExtendProfile:
         entities[1][:, 2] = 7.0  # one constant channel
         entities[3][:] = 1.0  # every channel constant
         curves = [fluss_probability(e, m) for e in entities]
-        stacked = sampling_curve(np.stack([c.nn_index for c in curves]), m).p
-        for curve, row in zip(curves, stacked):
+        stacked = SamplingCurve(np.stack([c.nn_index for c in curves]), m)
+        for curve, row, total in zip(curves, stacked.p, stacked.arc_sum):
             assert curve.p.tobytes() == row.tobytes()
+            assert curve.arc_sum.tobytes() == total.tobytes()
         assert (curves[1].nn_index[2] == -1).all()
-        np.testing.assert_array_equal(stacked[3], np.full(len(stacked[3]), 1 / len(stacked[3])))
+        p = stacked.p[3]
+        np.testing.assert_array_equal(p, np.full(len(p), 1 / len(p)))
+
+    def test_stacked_index_equals_per_entity_calls(self, caplog):
+        rng = np.random.default_rng(16)
+        m, prefix = 12, 90
+        series = np.cumsum(rng.normal(size=(3, 160, 2)), axis=1)
+        series[1, :, 0] = 4.0  # constant throughout
+        series[2, :prefix + 10, 1] = -1.5  # varies only after the prefix
+        with caplog.at_level(logging.WARNING):
+            first = channel_index(series[:, :prefix], m)
+        assert "constant channel 0 of series (1,)" in caplog.text
+        assert "constant channel 1 of series (2,)" in caplog.text
+        grown = channel_index(series, m, first)
+        assert first.shape == (3, 2, prefix - m + 1) and grown.shape == (3, 2, 160 - m + 1)
+        for e in range(3):
+            np.testing.assert_array_equal(first[e], channel_index(series[e, :prefix], m))
+            np.testing.assert_array_equal(
+                grown[e], channel_index(series[e], m, channel_index(series[e, :prefix], m))
+            )
+        assert (grown[1, 0] == -1).all() and (first[2, 1] == -1).all()
+        scratch = matrix_profile_index(series[2, :, 1], m).nn_index
+        np.testing.assert_array_equal(grown[2, 1], scratch)
+
+    def test_index_of_another_shape_rejected(self):
+        series = np.cumsum(np.random.default_rng(17).normal(size=(2, 80, 3)), axis=1)
+        nn = channel_index(series[:, :60], 10)
+        for wrong in (nn[:1], nn[:, :2], nn[0]):
+            with pytest.raises(ValueError, match="does not fit"):
+                channel_index(series, 10, wrong)
 
 
 class TestMass:
@@ -290,32 +317,28 @@ class TestMatrixProfileIndex:
 
 
 class TestCorrectedArcCount:
-    def _mpi(self, nn, m=5):
-        nn = np.asarray(nn, dtype=np.int64)
-        return MatrixProfileIndex(
-            nn_index=nn, m=m, exclusion_radius=0,
-            degenerate=np.zeros(len(nn), dtype=bool),
-        )
+    def _cac(self, nn, m=5):
+        """The corrected arc count of one channel's index: its curve's ``arc_sum``."""
+        return SamplingCurve(np.asarray(nn, dtype=np.int32)[None, :], m).arc_sum
 
     def test_two_self_contained_regimes(self):
         # 40 positions; halves link internally; nothing crosses the midpoint
         nn = np.concatenate([np.arange(20)[::-1], 20 + np.arange(20)[::-1]])
-        curve = corrected_arc_count(self._mpi(nn))
-        assert curve.cac[20] == 0.0
+        assert self._cac(nn)[20] == 0.0
 
     def test_cap_at_one(self):
         # every arc spans the whole curve, so counts exceed the parabola
         nn = np.zeros(40, dtype=np.int64)
         nn[0] = 39
-        curve = corrected_arc_count(self._mpi(nn))
-        assert curve.cac.max() == 1.0
-        assert np.all(curve.cac <= 1.0)
+        cac = self._cac(nn)
+        assert cac.max() == 1.0
+        assert np.all(cac <= 1.0)
 
     def test_edges_forced_to_one(self):
         nn = np.roll(np.arange(60), 7)
-        curve = corrected_arc_count(self._mpi(nn, m=8))
-        assert np.all(curve.cac[:8] == 1.0)
-        assert np.all(curve.cac[-8:] == 1.0)
+        cac = self._cac(nn, m=8)
+        assert np.all(cac[:8] == 1.0)
+        assert np.all(cac[-8:] == 1.0)
 
     def test_random_arcs_interior_near_one(self):
         # Monte-Carlo oracle: uniformly random neighbors make the actual count
@@ -326,8 +349,7 @@ class TestCorrectedArcCount:
             length = 200
             pos = np.arange(length)
             nn = (pos + 1 + rng.integers(0, length - 1, size=length)) % length
-            curve = corrected_arc_count(self._mpi(nn, m=10))
-            interior_means.append(curve.cac[10:-10].mean())
+            interior_means.append(self._cac(nn, m=10)[10:-10].mean())
         assert abs(np.mean(interior_means) - 1.0) < 0.15
 
 
@@ -377,13 +399,18 @@ class TestFlussProbability:
     def test_summed_curve_is_per_channel_sum(self):
         rng = np.random.default_rng(10)
         series = np.cumsum(rng.normal(size=(400, 2)), axis=0)
-        total = summed_arc_curve(series, 20)
+        total = fluss_probability(series, 20).arc_sum
         expected = sum(
-            corrected_arc_count(matrix_profile_index(series[:, j], 20)).cac
+            SamplingCurve(matrix_profile_index(series[:, j], 20).nn_index[None, :], 20).arc_sum
             for j in range(2)
         )
         np.testing.assert_allclose(total, expected)
 
     def test_cac_bounds_asserted(self):
-        with pytest.raises(AssertionError):
-            ArcCountCurve(cac=np.array([0.5, 1.2]))
+        with pytest.raises(ValueError, match="outside -1..39"):
+            SamplingCurve(np.full((2, 1, 40), 40, dtype=np.int32), 5)
+        # an index past its row spills arcs into the next row's crossings
+        nn = np.zeros((2, 40), dtype=np.int64)
+        nn[0] = 45
+        with pytest.raises(AssertionError, match=r"cac must lie in \[0, 1\]"):
+            _arc_counts(nn, 5)

@@ -10,6 +10,7 @@ import pytest
 import driftcast
 from driftcast import sampling as S
 from driftcast.data import InvariantError
+from driftcast.profiles import SamplingCurve, fluss_probability
 
 CHI2_CRIT_999_DF99 = 148.23035916510173  # chi2.ppf(0.999, 99), frozen from scipy
 
@@ -24,6 +25,16 @@ def cand_array(pairs):
 
 def single_entity_candidates(anchors, entity=0):
     return cand_array([(entity, a) for a in anchors])
+
+
+def segment_loop(candidates, curves, lookback):
+    """The segment rule's weights by a loop over entities: the fancy index's oracle."""
+    raw = np.empty(len(candidates))
+    for e in np.unique(candidates.entity_idx):
+        sel = candidates.entity_idx == e
+        raw[sel] = curves[int(e)][candidates.anchors[sel] - lookback]
+    total = raw.sum()
+    return raw / total if total > 0 else np.full(len(raw), 1.0 / len(raw))
 
 
 # The features of no entity: the rules that do not read them get these.
@@ -68,7 +79,7 @@ class TestParseScheme:
 class TestTemporalWeights:
     def test_uniform(self):
         cands = single_entity_candidates(range(100, 110))
-        w = S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, 200, {}, 24)
+        w = S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, 200, None, 24)
         np.testing.assert_allclose(w.weights, 0.1)
 
     def test_fixed_window_cutoff(self):
@@ -76,7 +87,7 @@ class TestTemporalWeights:
         now = 2400 + 100 * 24
         cands = single_entity_candidates([now - 10 * 24, now - 100 * 24])
         spec = S.SchemeSpec("fixed", "uniform", fixed_days=90)
-        w = S.temporal_weights(spec, cands, now, {}, 24)
+        w = S.temporal_weights(spec, cands, now, None, 24)
         by_anchor = dict(zip(w.candidates.anchors, w.weights))
         assert by_anchor[now - 10 * 24] == 1.0
         assert by_anchor[now - 100 * 24] == 0.0
@@ -87,14 +98,14 @@ class TestTemporalWeights:
         cands = single_entity_candidates([now - 400 * 24, now - 300 * 24])
         spec = S.SchemeSpec("fixed", "uniform", fixed_days=10)
         with pytest.raises(InvariantError, match="holds no candidates"):
-            S.temporal_weights(spec, cands, now, {}, 24)
+            S.temporal_weights(spec, cands, now, None, 24)
 
     def test_decay_formula(self):
         # weight = max(eps, 1 - age/(oldest+1)); evaluated directly
         now = 200 * 24
         ages = np.array([0.0, 50.0, 199.0])
         cands = single_entity_candidates([int(now - a * 24) for a in ages])
-        w = S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, now, {}, 24)
+        w = S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, now, None, 24)
         raw = np.maximum(S.DECAY_EPS, 1.0 - ages / (ages.max() + 1.0))
         expected = raw / raw.sum()
         by_anchor = dict(zip(w.candidates.anchors, w.weights))
@@ -105,14 +116,35 @@ class TestTemporalWeights:
 
     def test_segment_uses_curve_positions(self):
         lookback = 10
-        curve = np.zeros(50)
-        curve[30:] = 0.1
+        # two regimes of 20 windows whose arcs stay inside them: no mass up to 20
+        nn = np.concatenate([np.arange(20)[::-1], 20 + np.arange(20)[::-1]])
+        segmentation = SamplingCurve(nn[None, None, :].astype(np.int32), 5)
+        p = segmentation.p[0]
+        assert p[:21].max() == 0.0 and p[35] > 0.0
         cands = single_entity_candidates([15, 25, 45])
         spec = S.SchemeSpec("segment", "uniform")
-        w = S.temporal_weights(spec, cands, 60, {0: curve}, lookback)
+        w = S.temporal_weights(spec, cands, 60, segmentation, lookback)
         by_anchor = dict(zip(w.candidates.anchors, w.weights))
         assert by_anchor[15] == 0.0 and by_anchor[25] == 0.0
         assert by_anchor[45] == 1.0  # position 35 holds all the mass
+        with pytest.raises(InvariantError, match="segmentation never computed"):
+            S.temporal_weights(spec, cands, 60, None, lookback)
+
+    def test_segment_rule_equals_the_per_entity_loop(self):
+        rng = np.random.default_rng(21)
+        spec = S.SchemeSpec("segment", "uniform")
+        for trial in range(20):
+            entities, hours, lookback = int(rng.integers(1, 5)), 150, int(rng.integers(8, 20))
+            history = np.cumsum(rng.normal(size=(entities, hours, 2)), axis=1)
+            history[rng.integers(entities), :, rng.integers(2)] = 3.0  # a constant channel
+            segmentation = fluss_probability(history, lookback)
+            pairs = {(int(e), int(a))
+                     for e, a in zip(rng.integers(0, entities, 60),
+                                     rng.integers(lookback, hours + 1, 60))}
+            cands = cand_array(pairs)
+            w = S.temporal_weights(spec, cands, hours, segmentation, lookback)
+            expected = segment_loop(cands, dict(enumerate(segmentation.p)), lookback)
+            assert w.weights.tobytes() == expected.tobytes(), f"trial {trial}"
 
 
 class TestNontemporalWeights:
@@ -441,8 +473,8 @@ class TestWeightInvariants:
             candidates=cands, errors=rng.random(40), anchor_cutoff=39, day=1
         )
         checks = [
-            S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, 100 * 24, {}, 24),
-            S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, 100 * 24, {}, 24),
+            S.temporal_weights(S.SchemeSpec("uniform", "uniform"), cands, 100 * 24, None, 24),
+            S.temporal_weights(S.SchemeSpec("decay", "uniform"), cands, 100 * 24, None, 24),
             S.nontemporal_weights(S.SchemeSpec("uniform", "high_error"), cands, cache,
                                   None, NO_HISTORY, NO_HISTORY),
             S.nontemporal_weights(S.SchemeSpec("uniform", "low_error"), cands, cache,
@@ -461,12 +493,14 @@ class TestWeightInvariants:
 OPTIMIZED_SCRIPT = """
 import numpy as np
 from driftcast.data import InvariantError
-from driftcast.profiles import ArcCountCurve
+from driftcast.profiles import _arc_counts
 from driftcast.sampling import CandidateArray, CandidateWeights
 
 cands = CandidateArray(np.zeros(2, dtype=np.int32), np.array([1, 2]))
+spill = np.zeros((2, 40), dtype=np.int64)
+spill[0] = 45  # row 0's arcs end inside row 1, whose crossings turn negative
 for make in (lambda: CandidateWeights(cands, np.array([1.5, -0.5])),
-             lambda: ArcCountCurve(cac=np.array([0.5, 1.2]))):
+             lambda: _arc_counts(spill, 5)):
     try:
         make()
         print("passed")

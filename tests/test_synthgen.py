@@ -179,3 +179,22 @@ class TestDescribe:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="entity_e001.csv"):
             load_dataset(root)
+
+    # lines[4] is day 1 of e000, lines[7] its day 2
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines.__setitem__(4, lines[4].rsplit(",", 1)[0]), "4 were found"),
+        (lambda lines: lines.__setitem__(4, lines[4] + "x"), "could not convert"),
+        (lambda lines: lines.pop(7), "entity e000 must have one snapshot per day 0..38"),
+        (lambda lines: lines.__setitem__(7, "5" + lines[7][1:]),
+         "entity e000 must have one snapshot per day 0..39"),
+    ], ids=["short row", "non-numeric count", "missing day", "repeated day"])
+    def test_malformed_interactions_named(self, tmp_path, edit, message):
+        root = tmp_path / "ds"
+        generate(GenConfig(n_entities=3, n_clusters=1, d=2, days=40, seed=0), root)
+        path = root / "interactions.csv"
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="interactions.csv") as err:
+            load_dataset(root)
+        assert message in str(err.value)

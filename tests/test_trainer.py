@@ -8,6 +8,7 @@ import pytest
 
 from driftcast import evaluation as E
 from driftcast import model as M
+from driftcast import profiles
 from driftcast import trainer as T
 from driftcast.data import (
     HOURS_PER_DAY,
@@ -68,6 +69,14 @@ def same_array(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def same_segmentation(a, b):
+    """Both states lack a segmentation, or hold equal indices of one window length."""
+    if a.segmentation is None or b.segmentation is None:
+        return a.segmentation is b.segmentation is None
+    return (a.segmentation.m == b.segmentation.m
+            and same_array(a.segmentation.nn_index, b.segmentation.nn_index))
+
+
 def assert_states_equal(a, b):
     """Every field of two simulation states is equal, arrays bitwise with their dtypes."""
     for name in ("current_day", "gamma", "examples_consumed", "final_train_loss"):
@@ -94,7 +103,7 @@ def assert_states_equal(a, b):
         assert same_array(a.dynamics.counts, b.dynamics.counts)
     assert sorted(a.curves) == sorted(b.curves)
     assert all(same_array(c, b.curves[e]) for e, c in a.curves.items())
-    assert same_array(a.profile, b.profile)
+    assert same_segmentation(a, b)
     for name in ("days", "entity_idx", "preds"):
         assert same_array(getattr(a.log, name), getattr(b.log, name)), name
 
@@ -443,6 +452,22 @@ class TestCheckpoint:
         T.save_checkpoint(loaded, path2, mc2, tc2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_segment_load_derives_no_curve(self, dataset, tmp_path, monkeypatch):
+        mc = tiny_model_cfg(dataset)
+        tc = tiny_train_cfg(scheme="segment:uniform")
+        _, state = T.run_simulation(dataset, mc, tc, n_days=2)
+        saved = state.curves
+        T.save_checkpoint(state, tmp_path / "state.bin", mc, tc)
+
+        def derive(*args):
+            raise AssertionError("a curve was derived")
+
+        monkeypatch.setattr(profiles, "_arc_counts", derive)
+        loaded, _, _ = T.load_checkpoint(tmp_path / "state.bin")
+        monkeypatch.undo()
+        assert sorted(loaded.curves) == sorted(saved) == list(range(len(dataset.records)))
+        assert all(same_array(c, loaded.curves[e]) for e, c in saved.items())
+
     def test_offline_state_round_trip(self, dataset, tmp_path):
         mc = tiny_model_cfg(dataset)
         tc = tiny_train_cfg()
@@ -473,7 +498,7 @@ class TestCheckpoint:
         assert params_equal(state_full.params, resumed.params)
         assert sorted(state_full.curves) == sorted(resumed.curves)
         assert all(same_array(c, resumed.curves[e]) for e, c in state_full.curves.items())
-        assert same_array(state_full.profile, resumed.profile)
+        assert same_segmentation(state_full, resumed)
         assert bool(state_full.curves) == scheme.startswith("segment:")
 
     def test_corrupted_bytes_rejected(self, dataset, tmp_path):
